@@ -53,9 +53,6 @@ GATES = {
     ),
     "fabric_throughput.json": (
         "fabric_speedup",
-        # Zero-copy shm transport vs the pickle path (WARNs until the
-        # first 4-CPU run commits a baseline containing it).
-        "fabric_zero_copy_speedup",
     ),
     # Virtual-time overload simulation: both metrics are deterministic
     # ratios (pure functions of the seed), so any drop is a behaviour
@@ -92,7 +89,6 @@ REPORTED = {
     ),
     "fabric_throughput.json": (
         "fabric_requests_per_s",
-        "fabric_pickle_requests_per_s",
         "single_replica_requests_per_s",
     ),
     "traffic_sim.json": (

@@ -36,11 +36,11 @@ packed inference engine with differential sim-vs-software checking —
 ``--replicas N`` fans the traffic across a sharded multi-replica fabric
 (one worker process per replica) behind a routing gateway;
 ``bench-serve`` measures packed-batch vs per-sample serving throughput,
-``bench-fabric`` the multi-replica vs single-replica aggregate (plus the
-zero-copy shared-memory transport vs pickling), and ``bench-train`` the
-packed-word training engine vs the reference backend in cold and
-converged steady-state regimes; ``bench-train``/``bench-fabric`` accept
-``--profile`` to drop a cProfile top-20 hotspot JSON next to ``--save``.
+``bench-fabric`` the multi-replica vs single-replica aggregate, and
+``bench-train`` the packed-word training engine vs the reference
+backend in cold and converged steady-state regimes;
+``bench-train``/``bench-fabric`` accept ``--profile`` to drop a
+cProfile top-20 hotspot JSON next to ``--save``.
 ``stream`` runs a continual-learning session: replay a dataset as
 request traffic (optionally with induced concept drift), serve it
 micro-batched, detect drift from served predictions vs delayed labels,

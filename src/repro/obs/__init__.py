@@ -16,7 +16,7 @@ every subsystem writes into:
     :class:`Tracer` producing request-scoped :class:`Span` s with an
     injectable monotonic clock; the serving fabric propagates the
     trace context through ``Gateway.submit`` -> replica dispatch ->
-    engine call across both the shared-memory and pickle transports.
+    engine call, across the worker-process boundary too.
     Finished spans export to a bounded :class:`SpanRing` and an
     optional :class:`JsonlSpanSink`.
 

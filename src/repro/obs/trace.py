@@ -5,9 +5,9 @@ that share a ``trace_id`` per request and nest via ``parent_id``.  The
 serving :class:`~repro.serving.Gateway` opens a span at ``submit``,
 each dispatched batch gets a child span, and the engine call gets a
 grandchild — *including* across the process boundary: the trace
-context (a two-key dict) rides the pipe message next to the batch on
-both the shared-memory slot-ring and the pickle-fallback transports,
-and the worker ships its finished engine span back with the result.
+context (a two-key dict) rides the pipe message that names the
+batch's shared-memory slot, and the worker ships its finished engine
+span back with the result.
 
 Durations come from the tracer's injectable monotonic clock, so tests
 and the virtual-time traffic simulator stay deterministic; span and

@@ -130,27 +130,20 @@ def fabric_benchmark(model, n_replicas=4, max_batch=64, n_requests=2048,
     """Measure multi-replica fabric throughput against a single replica.
 
     Drives ``n_requests`` single-sample submissions through a
-    :class:`~repro.serving.fabric.Gateway` three times — over a
-    one-replica pool, over an ``n_replicas`` pool on the default
-    zero-copy shared-memory transport, and over the same fleet forced
-    onto the pickled-array transport — and reports the aggregate rates
-    plus ``fabric_speedup`` (multi / single) and
-    ``fabric_zero_copy_speedup`` (shm fleet / pickle fleet).  Pools are
-    built outside the timed region (worker start-up and snapshot
-    shipping are deployment cost, not serving cost); all runs pay
-    identical parent-side submit overhead, so the ratios isolate the
-    fan-out and the transport respectively.
+    :class:`~repro.serving.fabric.Gateway` twice — over a one-replica
+    pool and over an ``n_replicas`` pool — and reports the aggregate
+    rates plus ``fabric_speedup`` (multi / single).  Pools are built
+    outside the timed region (worker start-up and snapshot shipping are
+    deployment cost, not serving cost); both runs pay identical
+    parent-side submit overhead, so the ratio isolates the fan-out.
 
     ``mode="inline"`` exists for smoke-testing the harness itself on
     machines where process workers cannot scale (the benchmark suite
-    skips below 4 CPUs); inline replicas have no transport, so the
-    zero-copy ratio is reported as ``None`` there.
+    skips below 4 CPUs).
 
     >>> from repro.serving import fabric_benchmark  # doctest: +SKIP
     >>> payload = fabric_benchmark(model, n_replicas=4)  # doctest: +SKIP
     >>> payload["fabric_speedup"] >= 2.5  # doctest: +SKIP
-    True
-    >>> payload["fabric_zero_copy_speedup"] >= 1.0  # doctest: +SKIP
     True
     """
     engine = snapshot_engine(model) if not isinstance(model, InferenceEngine) \
@@ -158,12 +151,12 @@ def fabric_benchmark(model, n_replicas=4, max_batch=64, n_requests=2048,
     rng = np.random.default_rng(seed)
     X = (rng.random((n_requests, engine.n_features)) < 0.5).astype(np.uint8)
 
-    def run(replicas, transport="auto"):
+    def run(replicas):
         best_rate = 0.0
         report = None
         for _ in range(repeats):
             with ReplicaPool(engine, n_replicas=replicas, mode=mode,
-                             max_batch=max_batch, transport=transport) as pool:
+                             max_batch=max_batch) as pool:
                 gateway = Gateway(
                     pool, max_batch=max_batch,
                     max_queue=max(512, 4 * max_batch * replicas),
@@ -180,9 +173,6 @@ def fabric_benchmark(model, n_replicas=4, max_batch=64, n_requests=2048,
 
     single_rps, _ = run(1)
     fabric_rps, fabric_report = run(n_replicas)
-    pickle_rps = None
-    if mode == "process":
-        pickle_rps, _ = run(n_replicas, transport="pickle")
     return {
         "replicas": int(n_replicas),
         "mode": mode,
@@ -193,12 +183,8 @@ def fabric_benchmark(model, n_replicas=4, max_batch=64, n_requests=2048,
         "n_clauses": engine.n_clauses,
         "single_replica_requests_per_s": round(single_rps, 1),
         "fabric_requests_per_s": round(fabric_rps, 1),
-        "fabric_pickle_requests_per_s": round(pickle_rps, 1)
-        if pickle_rps is not None else None,
         "fabric_speedup": round(fabric_rps / single_rps, 2)
         if single_rps else None,
-        "fabric_zero_copy_speedup": round(fabric_rps / pickle_rps, 2)
-        if pickle_rps else None,
         "fabric_latency_ms": (fabric_report or {}).get(
             "fabric", {}).get("latency"),
         "fabric_report": fabric_report,
@@ -211,29 +197,19 @@ def format_fabric_benchmark(payload):
     >>> print(format_fabric_benchmark({
     ...     "replicas": 4, "mode": "process", "requests": 2048,
     ...     "single_replica_requests_per_s": 10000.0,
-    ...     "fabric_requests_per_s": 31000.0, "fabric_speedup": 3.1,
-    ...     "fabric_pickle_requests_per_s": 20000.0,
-    ...     "fabric_zero_copy_speedup": 1.55}))
+    ...     "fabric_requests_per_s": 31000.0, "fabric_speedup": 3.1}))
     fabric benchmark: 4 process replicas, 2048 requests
       single replica:     10000 req/s
       fabric aggregate:   31000 req/s  (3.1x)
-      pickle transport:   20000 req/s  (zero-copy 1.6x)
     """
-    lines = [
+    return "\n".join([
         f"fabric benchmark: {payload['replicas']} {payload['mode']} "
         f"replicas, {payload['requests']} requests",
         f"  single replica:   {payload['single_replica_requests_per_s']:>7.0f}"
         " req/s",
         f"  fabric aggregate: {payload['fabric_requests_per_s']:>7.0f}"
         f" req/s  ({payload['fabric_speedup']:.1f}x)",
-    ]
-    if payload.get("fabric_zero_copy_speedup") is not None:
-        lines.append(
-            f"  pickle transport: "
-            f"{payload['fabric_pickle_requests_per_s']:>7.0f} req/s  "
-            f"(zero-copy {payload['fabric_zero_copy_speedup']:.1f}x)"
-        )
-    return "\n".join(lines)
+    ])
 
 
 def format_benchmark(payload):

@@ -13,13 +13,9 @@ behind one front-end:
     the parent and shipped warm, so workers answer their first request at
     full speed); ``mode="inline"`` hosts the replicas in-process, which
     is deterministic and what the end-to-end tests drive.  Process
-    replicas default to a *zero-copy* transport: each replica owns a ring
-    of preallocated shared-memory slots (input bits in, predictions and
-    class sums out), so the steady-state hot path pickles nothing — only
-    a few ints cross the pipe per batch.  Replicas fall back to the
-    classic pickled-array transport per batch (oversize batch, busy ring,
-    post-swap geometry change) or wholesale (``transport="pickle"``,
-    platforms without POSIX shared memory).
+    replicas move every batch through a ring of preallocated
+    shared-memory slots (input bits in, predictions and class sums out),
+    so nothing is pickled per batch — only a few ints cross the pipe.
 
 ``Gateway``
     The front-end: a bounded per-replica queue with backpressure,
@@ -61,9 +57,9 @@ failovers, batches, and latency into a :class:`~repro.obs.MetricsRegistry`
 (the process default unless one is injected), and an optional
 :class:`~repro.obs.Tracer` follows each request across the layers —
 ``gateway.request`` -> ``replica.dispatch`` -> ``engine.predict`` —
-with the trace context propagated to worker processes over *both* the
-shared-memory slot-ring and the pickle-fallback transports (the worker
-ships its finished engine span back beside the result).  Worker
+with the trace context propagated to worker processes beside each
+slot-ring batch (the worker ships its finished engine span back beside
+the result).  Worker
 processes keep their own registry of engine-side counters, returned
 with every ``ping`` and mergeable into the parent's registry via
 :meth:`ReplicaPool.collect_metrics`.
@@ -76,6 +72,7 @@ import os
 import time
 import uuid
 from collections import deque
+from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -83,11 +80,6 @@ from repro.obs import MetricsRegistry, get_registry
 
 from .batcher import notify_observers
 from .fabric_qos import LatencyHistogram
-
-try:  # pragma: no cover - absent only on exotic platforms
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
 
 __all__ = [
     "Backpressure",
@@ -116,8 +108,13 @@ class ReplicaError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Zero-copy transport: a ring of preallocated shared-memory slots
+# Transport: a ring of preallocated shared-memory slots
 # ----------------------------------------------------------------------
+# Slots per process replica: the most batches one replica holds in
+# flight, and so the most messages its pipe carries in each direction.
+RING_SLOTS = 8
+
+
 def _slot_offsets(max_rows, n_features, n_classes):
     """Byte offsets ``(preds, sums, total)`` of one slot's layout."""
     pred_off = -(-(max_rows * n_features) // 8) * 8  # int64 block 8-aligned
@@ -138,8 +135,17 @@ def _slot_views(buf, max_rows, n_features, n_classes):
     return X, preds, sums
 
 
+def _close_segments(segments):
+    """Close (never unlink) shared-memory handles, ignoring failures."""
+    for shm in segments:
+        try:
+            shm.close()
+        except (OSError, BufferError):
+            pass
+
+
 class _ShmRing:
-    """Ring of preallocated shared-memory slots for one process replica.
+    """Ring of :data:`RING_SLOTS` shared-memory slots for one replica.
 
     Each slot is one POSIX shared-memory segment laid out as
     ``[X uint8 (max_rows, n_features) | preds int64 (max_rows) |
@@ -156,13 +162,10 @@ class _ShmRing:
     the worker died mid-batch — unlinks every segment exactly once.
     """
 
-    def __init__(self, key, max_rows, n_features, n_classes, n_slots=8):
-        if _shared_memory is None:
-            raise RuntimeError("shared_memory unavailable on this platform")
+    def __init__(self, key, max_rows, n_features, n_classes):
         self.max_rows = int(max_rows)
         self.n_features = int(n_features)
         self.n_classes = int(n_classes)
-        self.n_slots = int(n_slots)
         size = _slot_offsets(self.max_rows, self.n_features,
                              self.n_classes)[2]
         self._segments = []
@@ -172,16 +175,15 @@ class _ShmRing:
         # cleanly at exit.
         self._views = None
         try:
-            for slot in range(self.n_slots):
+            for slot in range(RING_SLOTS):
                 name = (f"tmfab-{os.getpid()}-{key}-{slot}-"
                         f"{uuid.uuid4().hex[:8]}")
-                shm = _shared_memory.SharedMemory(name=name, create=True,
-                                                  size=size)
-                self._segments.append(shm)
+                self._segments.append(shared_memory.SharedMemory(
+                    name=name, create=True, size=size))
         except (OSError, ValueError):
             self.destroy()
             raise
-        self._free = list(range(self.n_slots))
+        self._free = list(range(RING_SLOTS))
 
     def _slot(self, slot):
         if self._views is None:
@@ -193,7 +195,7 @@ class _ShmRing:
         return self._views[slot]
 
     def spec(self):
-        """Attach instructions shipped to the worker at start-up."""
+        """Attach instructions shipped to the worker."""
         return {
             "names": [shm.name for shm in self._segments],
             "max_rows": self.max_rows,
@@ -201,11 +203,9 @@ class _ShmRing:
             "n_classes": self.n_classes,
         }
 
-    def acquire(self, n_rows):
-        """A free slot index, or ``None`` (ring busy / batch oversize)."""
-        if n_rows > self.max_rows or not self._free:
-            return None
-        return self._free.pop()
+    def acquire(self):
+        """A free slot index, or ``None`` when every slot is in flight."""
+        return self._free.pop() if self._free else None
 
     def release(self, slot):
         self._free.append(slot)
@@ -223,11 +223,8 @@ class _ShmRing:
         segments, self._segments = self._segments, []
         self._views = None        # drop the buffer exports before close()
         self._free = []
+        _close_segments(segments)
         for shm in segments:
-            try:
-                shm.close()
-            except (OSError, BufferError):
-                pass
             try:
                 shm.unlink()
             except OSError:       # already gone (FileNotFoundError et al.)
@@ -254,136 +251,103 @@ def _untrack(shm):
 
 
 def _attach_ring(spec):
-    """Worker-side attach of a parent ring; ``None`` if attaching fails."""
-    if _shared_memory is None:
-        return None
+    """Worker-side attach of a parent ring: ``(segments, views)``."""
     segments = []
-    views = []
     try:
         for name in spec["names"]:
-            shm = _shared_memory.SharedMemory(name=name)
+            shm = shared_memory.SharedMemory(name=name)
             _untrack(shm)
             segments.append(shm)
-            views.append(_slot_views(shm.buf, spec["max_rows"],
-                                     spec["n_features"], spec["n_classes"]))
     except (OSError, ValueError):
-        for shm in segments:
-            try:
-                shm.close()
-            except (OSError, BufferError):
-                pass
-        return None
+        _close_segments(segments)
+        raise
+    views = [_slot_views(shm.buf, spec["max_rows"], spec["n_features"],
+                         spec["n_classes"]) for shm in segments]
     return segments, views
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _host_loop(conn, engine, shm_spec=None):
+def _host_loop(conn, engine, ring_spec):
     """Replica worker body: one engine snapshot driven over a pipe.
 
-    Each ``predict`` message carries an already-assembled micro-batch
-    (the gateway's per-replica queues do the coalescing), so the worker
-    makes exactly one packed ``predict_with_sums`` call per message —
-    no per-sample re-validation on the hot path.  Messages are handled
-    strictly in order, which is what makes the rolling swap zero-drop:
-    every ``predict`` sent before a ``swap`` is answered by the old
-    snapshot before the swap is acknowledged.
+    Each ``predict_shm`` message names a ring slot holding an already-
+    assembled micro-batch (the gateway's per-replica queues do the
+    coalescing), so the worker makes exactly one packed
+    ``predict_with_sums`` call per message, reading the batch from the
+    slot's pages and writing predictions and class sums back in place.
+    Messages are handled strictly in order, which is what makes the
+    rolling swap zero-drop: every batch sent before a ``swap`` is
+    answered by the old snapshot before the swap is acknowledged.
 
-    With ``shm_spec`` the worker attaches the parent's slot ring and
-    additionally serves ``predict_shm`` messages: the batch is read from
-    the slot's pages and the results written back in place, so only a
-    few ints cross the pipe.  The first message sent is then a
-    ``("shm", ok)`` handshake — a failed attach degrades the replica to
-    the pickle transport instead of poisoning it.
+    An ``("attach", spec)`` message swaps the worker onto a new ring and
+    is acknowledged with ``("attached",)``.  Start-up is the same
+    message: the loop begins by attaching ``ring_spec``, so the parent's
+    first reply is that ack (or an ``error`` if attaching failed).
 
-    Observability: every ``predict``/``predict_shm`` message carries the
-    parent's trace context (or ``None``); the worker times the engine
-    call and ships a finished ``engine.predict`` span record back in
-    the result tuple, so one ``trace_id`` covers the request across the
-    process boundary on either transport.  The worker also keeps its
-    own :class:`~repro.obs.MetricsRegistry` of engine-side counters and
+    Observability: every ``predict_shm`` message carries the parent's
+    trace context (or ``None``); the worker times the engine call and
+    ships a finished ``engine.predict`` span record back in the result
+    tuple, so one ``trace_id`` covers the request across the process
+    boundary.  The worker also keeps its own
+    :class:`~repro.obs.MetricsRegistry` of engine-side counters and
     returns a snapshot with every ``pong`` — the parent merges those
     into its registry (cross-process snapshot merge).
     """
     served_batches = 0
     served_samples = 0
-    ring_views = None
-    ring_segments = []
+    segments, views = [], []
     pid = os.getpid()
     span_seq = 0
     metrics = MetricsRegistry()
+    m_batches = metrics.counter("engine_batches_total")
+    m_samples = metrics.counter("engine_samples_total")
     h_batch = metrics.histogram("engine_batch_seconds")
 
-    def _span(ctx, t0, t1, n_rows, transport):
-        nonlocal span_seq
-        if ctx is None:
-            return None
-        span_seq += 1
-        return {
-            "name": "engine.predict",
-            "trace_id": ctx["trace_id"],
-            "span_id": f"w{pid}.{span_seq}",
-            "parent_id": ctx["span_id"],
-            "start_s": t0,
-            "end_s": t1,
-            "duration_s": max(0.0, t1 - t0),
-            "status": "ok",
-            "attrs": {"n_rows": int(n_rows), "transport": transport,
-                      "pid": pid, "version": engine.version},
-        }
-    if shm_spec is not None:
-        attached = _attach_ring(shm_spec)
-        if attached is not None:
-            ring_segments, ring_views = attached
-        attached = None  # keep `ring_views` the only ref (see exit below)
-        conn.send(("shm", ring_views is not None))
+    def predict(req_id, slot, n_rows, ctx):
+        # A function of its own, so the slot views it binds are released
+        # on return and a later re-attach can close the old segments.
+        nonlocal served_batches, served_samples, span_seq
+        X, preds_out, sums_out = views[slot]
+        t0 = time.perf_counter()
+        preds, sums = engine.predict_with_sums(X[:n_rows])
+        t1 = time.perf_counter()
+        preds_out[:n_rows] = preds
+        sums_out[:n_rows] = sums
+        served_batches += 1
+        served_samples += n_rows
+        m_batches.inc()
+        m_samples.inc(int(n_rows))
+        h_batch.record(t1 - t0)
+        span = None
+        if ctx is not None:
+            span_seq += 1
+            span = {
+                "name": "engine.predict",
+                "trace_id": ctx["trace_id"],
+                "span_id": f"w{pid}.{span_seq}",
+                "parent_id": ctx["span_id"],
+                "start_s": t0,
+                "end_s": t1,
+                "duration_s": max(0.0, t1 - t0),
+                "status": "ok",
+                "attrs": {"n_rows": int(n_rows), "transport": "shm",
+                          "pid": pid, "version": engine.version},
+            }
+        return ("result_shm", req_id, slot, n_rows, engine.version, span)
+
+    msg = ("attach", ring_spec)
     while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
         kind = msg[0]
         try:
-            if kind == "predict":
-                _, req_id, X, ctx = msg
-                t0 = time.perf_counter()
-                preds, sums = engine.predict_with_sums(X)
-                t1 = time.perf_counter()
-                served_batches += 1
-                served_samples += len(X)
-                metrics.counter("engine_batches_total",
-                                transport="pickle").inc()
-                metrics.counter("engine_samples_total",
-                                transport="pickle").inc(len(X))
-                h_batch.record(t1 - t0)
-                conn.send(("result", req_id, preds, sums, engine.version,
-                           _span(ctx, t0, t1, len(X), "pickle")))
-            elif kind == "predict_shm":
-                _, req_id, slot, n_rows, ctx = msg
-                Xv, predv, sumv = ring_views[slot]
-                t0 = time.perf_counter()
-                preds, sums = engine.predict_with_sums(Xv[:n_rows])
-                t1 = time.perf_counter()
-                served_batches += 1
-                served_samples += n_rows
-                metrics.counter("engine_batches_total",
-                                transport="shm").inc()
-                metrics.counter("engine_samples_total",
-                                transport="shm").inc(int(n_rows))
-                h_batch.record(t1 - t0)
-                span = _span(ctx, t0, t1, n_rows, "shm")
-                if sums.shape == (n_rows, sumv.shape[1]):
-                    predv[:n_rows] = preds
-                    sumv[:n_rows] = sums
-                    conn.send(("result_shm", req_id, slot, n_rows,
-                               engine.version, span))
-                else:
-                    # A swap changed the snapshot geometry under an
-                    # in-flight ring: answer over the pickle path (the
-                    # parent releases the slot off its pending entry).
-                    conn.send(("result", req_id, preds, sums,
-                               engine.version, span))
+            if kind == "predict_shm":
+                conn.send(predict(*msg[1:]))
+            elif kind == "attach":
+                views = []  # drop the old exports so close() can unmap
+                _close_segments(segments)
+                segments, views = _attach_ring(msg[1])
+                conn.send(("attached",))
             elif kind == "swap":
                 engine = msg[1]  # all prior predicts answered by the old one
                 conn.send(("swapped", engine.version))
@@ -404,14 +368,12 @@ def _host_loop(conn, engine, shm_spec=None):
                 conn.send(("error", repr(exc)))
             except (OSError, ValueError):
                 break
-    # Release every buffer export (the ring views *and* the loop's last
-    # slot bindings) so close() can unmap the segments.
-    ring_views = Xv = predv = sumv = None  # noqa: F841
-    for shm in ring_segments:
         try:
-            shm.close()
-        except (OSError, BufferError):
-            pass
+            msg = conn.recv()
+        except (EOFError, OSError):
+            break
+    views = []  # release the buffer exports so close() can unmap
+    _close_segments(segments)
     conn.close()
 
 
@@ -427,9 +389,9 @@ class _ReplicaBase:
         self.healthy = True
         self.n_batches = 0
         self.n_samples = 0
-        self.busy_s = 0.0        # summed dispatch->collect wall time
+        self.busy_s = 0.0        # summed dispatch->result wall time
         self.max_latency_s = 0.0
-        self.latency = LatencyHistogram()   # per-batch dispatch->collect
+        self.latency = LatencyHistogram()   # per-batch dispatch->result
         self.tracer = None       # set by a Gateway constructed with one
 
     def _account(self, n_samples, latency_s):
@@ -526,65 +488,46 @@ class ProcessReplica(_ReplicaBase):
     at start-up (a *warm* start: the first request is answered by the
     same packed kernels as the thousandth).  The pipe is FIFO and the
     worker single-threaded, so results come back in dispatch order and a
-    ``swap`` sent after N ``predict`` messages is applied after exactly
-    those N batches.
+    ``swap`` sent after N batches is applied after exactly those N.
 
-    ``transport="auto"`` (default) tries to set up a :class:`_ShmRing`
-    of ``ring_slots`` zero-copy slots sized for ``max_rows``-row batches
-    and falls back to pickling whole arrays over the pipe when shared
-    memory is unavailable; ``"shm"`` makes ring *creation* failures
-    raise; ``"pickle"`` skips the ring.  Individual batches still fall
-    back to pickle when they exceed ``max_rows``, when every slot is in
-    flight, or after a swap changed the snapshot geometry.
+    Every batch travels through the replica's :class:`_ShmRing`, sized
+    for ``max_rows``-row batches; only a few ints cross the pipe.  When
+    every slot is in flight, :meth:`dispatch` first reads the oldest
+    result out (it waits in the ready queue for :meth:`collect`), which
+    frees its slot — so the pipe never holds more than
+    :data:`RING_SLOTS` messages each way.  A batch larger than the slots,
+    or a swap to a snapshot of another ``(n_features, n_classes)``,
+    re-creates the ring at the new geometry.
     """
 
     kind = "process"
 
-    def __init__(self, index, engine, transport="auto", max_rows=64,
-                 ring_slots=8):
+    def __init__(self, index, engine, max_rows=64):
         super().__init__(index, engine)
-        if transport not in ("auto", "shm", "pickle"):
-            raise ValueError(f"unknown transport {transport!r}")
-        self._ring = None
-        self._shm_ok = False
-        if transport != "pickle":
-            try:
-                self._ring = _ShmRing(index, max_rows, engine.n_features,
-                                      engine.n_classes, n_slots=ring_slots)
-            except (RuntimeError, OSError, ValueError):
-                if transport == "shm":
-                    raise
+        self._ring = _ShmRing(index, max_rows, engine.n_features,
+                              engine.n_classes)
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         self._conn = parent_conn
-        spec = self._ring.spec() if self._ring is not None else None
         try:
             self._proc = multiprocessing.Process(
-                target=_host_loop, args=(child_conn, engine, spec),
+                target=_host_loop,
+                args=(child_conn, engine, self._ring.spec()),
                 daemon=True, name=f"fabric-replica-{index}",
             )
             self._proc.start()
         except Exception:
-            if self._ring is not None:
-                self._ring.destroy()
+            self._ring.destroy()
             raise
         child_conn.close()
-        self._pending = deque()  # (req_id, t0, n_samples, slot), FIFO
-        self._stashed = deque()  # results received while awaiting an ack
-        if self._ring is not None:
-            try:
-                ok = bool(self._recv("shm")[1])
-            except ReplicaError:
-                # A failed handshake must tear down the *whole* half-built
-                # replica — destroying only the ring leaked the started
-                # worker process and the parent pipe end.
-                self._abort_init()
-                raise
-            if ok:
-                self._shm_ok = True
-            else:  # worker could not attach: degrade, don't poison
-                self._ring.destroy()
-                self._ring = None
-        self.transport = "shm" if self._ring is not None else "pickle"
+        self._pending = deque()  # (req_id, t0, slot) at the worker
+        self._ready = deque()    # (req_id, preds, sums, version) read back
+        try:
+            self._recv("attached")
+        except ReplicaError:
+            # A failed handshake must tear down the *whole* half-built
+            # replica: worker process, parent pipe end, and ring.
+            self._abort_init()
+            raise
 
     def _abort_init(self):
         """Tear down a half-constructed replica: worker, pipe, and ring."""
@@ -599,20 +542,18 @@ class ProcessReplica(_ReplicaBase):
                 self._conn.close()
             except OSError:  # pragma: no cover
                 pass
-            if self._ring is not None:
-                self._ring.destroy()
-                self._ring = None
+            self._ring.destroy()
 
     @property
     def outstanding(self):
-        return len(self._pending) + len(self._stashed)
+        return len(self._pending) + len(self._ready)
 
     def alive(self):
         return self._proc.is_alive()
 
     def has_ready(self):
         """Whether :meth:`collect` would return without blocking."""
-        if self._stashed:
+        if self._ready:
             return True
         try:
             return self._conn.poll()
@@ -620,58 +561,51 @@ class ProcessReplica(_ReplicaBase):
             return False
 
     def dispatch(self, req_id, X, trace_ctx=None):
-        slot = self._ring.acquire(len(X)) if self._shm_ok else None
-        try:
-            if slot is not None:
-                self._ring.write(slot, X)
-                self._conn.send(("predict_shm", req_id, slot, len(X),
-                                 trace_ctx))
-            else:
-                self._conn.send(("predict", req_id,
-                                 np.ascontiguousarray(X, dtype=np.uint8),
-                                 trace_ctx))
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            if slot is not None:
-                self._ring.release(slot)
-            self.healthy = False
-            raise ReplicaError(
-                f"replica {self.index}: dispatch failed ({exc!r})"
-            ) from exc
-        self._pending.append((req_id, time.perf_counter(), len(X), slot))
+        n_rows = len(X)
+        if n_rows > self._ring.max_rows:
+            self._recreate_ring(n_rows, self._ring.n_features,
+                                self._ring.n_classes)
+        slot = self._ring.acquire()
+        if slot is None:  # every slot in flight: free the oldest
+            self._read_oldest()
+            slot = self._ring.acquire()
+        self._ring.write(slot, X)
+        self._send(("predict_shm", req_id, slot, n_rows, trace_ctx),
+                   "dispatch")
+        self._pending.append((req_id, time.perf_counter(), slot))
 
     def collect(self):
-        if self._stashed:
-            msg = self._stashed.popleft()
-        else:
-            msg = self._recv("result")
-        if msg[0] == "result_shm":
-            _, req_id, slot_in, n_rows, version, span = msg
-            preds, sums = self._ring.read_result(slot_in, n_rows)
-        else:
-            _, req_id, preds, sums, version, span = msg
-        if span is not None and self.tracer is not None:
-            self.tracer.ingest(span)
-        sent_id, t0, n, slot = self._pending.popleft()
-        if slot is not None:
-            # Freed off the dispatch record, not the reply kind: a
-            # geometry-fallback reply to an shm dispatch must still
-            # return the slot to the ring.
-            self._ring.release(slot)
-        if sent_id != req_id:  # the pipe is FIFO; this is a logic error
+        if not self._ready:
+            self._read_oldest()
+        return self._ready.popleft()
+
+    def _read_oldest(self):
+        """Block for the oldest pending result; move it to the ready queue."""
+        self._take(self._recv("result_shm"))
+
+    def _take(self, msg):
+        """Copy a result out of its slot, free the slot, queue the result."""
+        _, req_id, slot, n_rows, version, span = msg
+        sent_id, t0, sent_slot = self._pending.popleft()
+        if (sent_id, sent_slot) != (req_id, slot):
+            # The pipe is FIFO; this is a logic error.
             self.healthy = False
             raise ReplicaError(
                 f"replica {self.index}: result {req_id} != dispatched {sent_id}"
             )
-        self._account(n, time.perf_counter() - t0)
-        return req_id, preds, sums, version
+        preds, sums = self._ring.read_result(slot, n_rows)
+        self._ring.release(slot)
+        if span is not None and self.tracer is not None:
+            self.tracer.ingest(span)
+        self._account(n_rows, time.perf_counter() - t0)
+        self._ready.append((req_id, preds, sums, version))
 
     def _recv(self, expected):
-        """Receive the next message of ``expected`` kind, stashing results.
+        """Receive the next message of ``expected`` kind.
 
-        A control reply (``swapped``/``pong``) can only arrive after the
-        results of every previously dispatched batch; those results —
-        either transport kind — are buffered for the next
-        :meth:`collect` instead of being dropped.
+        A control reply (``pong``/``stopped``) arrives after the results
+        of every previously dispatched batch; those results are read
+        into the ready queue for the next :meth:`collect`.
         """
         while True:
             try:
@@ -682,11 +616,10 @@ class ProcessReplica(_ReplicaBase):
                     f"replica {self.index}: worker died ({exc!r})"
                 ) from exc
             kind = msg[0]
-            if kind == expected or (expected == "result"
-                                    and kind == "result_shm"):
+            if kind == expected:
                 return msg
-            if kind in ("result", "result_shm"):
-                self._stashed.append(msg)
+            if kind == "result_shm":
+                self._take(msg)
                 continue
             if kind == "error":
                 self.healthy = False
@@ -695,38 +628,56 @@ class ProcessReplica(_ReplicaBase):
                 f"replica {self.index}: expected {expected!r}, got {kind!r}"
             )
 
+    def _send(self, msg, what):
+        try:
+            self._conn.send(msg)
+        except (OSError, ValueError) as exc:
+            self.healthy = False
+            raise ReplicaError(
+                f"replica {self.index}: {what} failed ({exc!r})"
+            ) from exc
+
+    def _recreate_ring(self, max_rows, n_features, n_classes):
+        """Move the replica onto a new ring of the given geometry.
+
+        Pending results are read out first (their slots belong to the
+        old ring), then the worker attaches the new ring with the same
+        ``attached`` ack start-up uses, and the old ring is unlinked.
+        """
+        while self._pending:
+            self._read_oldest()
+        old = self._ring
+        try:
+            self._ring = _ShmRing(self.index, max_rows, n_features,
+                                  n_classes)
+        except (OSError, ValueError) as exc:
+            self.healthy = False
+            raise ReplicaError(
+                f"replica {self.index}: ring re-create failed ({exc!r})"
+            ) from exc
+        finally:
+            old.destroy()
+        self._send(("attach", self._ring.spec()), "ring attach")
+        self._recv("attached")
+
     def swap(self, engine):
-        if self._pending or self._stashed:
+        if self.outstanding:
             raise ReplicaError(
                 f"replica {self.index}: swap with {self.outstanding} "
                 "uncollected batches; drain first"
             )
-        try:
-            self._conn.send(("swap", engine))
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            self.healthy = False
-            raise ReplicaError(
-                f"replica {self.index}: swap failed ({exc!r})"
-            ) from exc
-        ack = self._recv("swapped")
-        self.version = ack[1]
-        if self._ring is not None:
-            # The ring was sized for the old snapshot; a promotion that
-            # changes the request/response geometry falls back to pickle
-            # (and re-enables zero-copy if a later swap matches again).
-            self._shm_ok = (engine.n_features == self._ring.n_features
-                            and engine.n_classes == self._ring.n_classes)
+        self._send(("swap", engine), "swap")
+        self.version = self._recv("swapped")[1]
+        ring = self._ring
+        if (engine.n_features, engine.n_classes) != (ring.n_features,
+                                                     ring.n_classes):
+            self._recreate_ring(ring.max_rows, engine.n_features,
+                                engine.n_classes)
 
     def ping(self):
         if not self.alive():
             raise ReplicaError(f"replica {self.index}: worker not alive")
-        try:
-            self._conn.send(("ping",))
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            self.healthy = False
-            raise ReplicaError(
-                f"replica {self.index}: ping failed ({exc!r})"
-            ) from exc
+        self._send(("ping",), "ping")
         return self._recv("pong")[1]
 
     def close(self):
@@ -745,8 +696,7 @@ class ProcessReplica(_ReplicaBase):
             # The unlink must happen on every exit path — including a
             # worker killed mid-batch — or /dev/shm leaks a ring per
             # replica per run.
-            if self._ring is not None:
-                self._ring.destroy()
+            self._ring.destroy()
 
 
 # ----------------------------------------------------------------------
@@ -770,15 +720,7 @@ class ReplicaPool:
         Default dispatch size trigger for gateways fronting this pool
         (the gateway assembles per-replica micro-batches; each worker
         answers a batch with one packed engine call).  Process replicas
-        also size their zero-copy slots for ``max_batch`` rows.
-    transport:
-        Process-replica payload transport.  ``"auto"`` (default) uses a
-        ring of preallocated shared-memory slots per replica — input
-        bits in, class sums out, nothing pickled on the hot path — and
-        falls back to pickling when shared memory is unavailable;
-        ``"shm"`` raises if the ring cannot be created; ``"pickle"``
-        forces the classic pipe transport.  Inline replicas call the
-        engine directly, so the knob is ignored in ``mode="inline"``.
+        also size their shared-memory slots for ``max_batch`` rows.
 
     The pool is a context manager; leaving the ``with`` block stops the
     workers and unlinks their shared-memory rings (even for workers
@@ -796,20 +738,16 @@ class ReplicaPool:
     (3, [1, 1, 1])
     """
 
-    def __init__(self, engine, n_replicas=2, mode="process", max_batch=64,
-                 transport="auto"):
+    def __init__(self, engine, n_replicas=2, mode="process", max_batch=64):
         if n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
         if mode not in ("process", "inline"):
             raise ValueError(f"unknown replica mode {mode!r}")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if transport not in ("auto", "shm", "pickle"):
-            raise ValueError(f"unknown transport {transport!r}")
         self.engine = engine
         self.mode = mode
         self.max_batch = int(max_batch)
-        self.transport = transport
         # Build incrementally so a replica that fails to construct (e.g.
         # worker spawn or shm handshake failure) does not abandon the
         # already-started workers and their /dev/shm rings.
@@ -824,8 +762,7 @@ class ReplicaPool:
     def _spawn(self, index, engine):
         """One replica of this pool's mode at ``index`` (not registered)."""
         if self.mode == "process":
-            return ProcessReplica(index, engine, transport=self.transport,
-                                  max_rows=self.max_batch)
+            return ProcessReplica(index, engine, max_rows=self.max_batch)
         return InlineReplica(index, engine)
 
     def add_replica(self, engine=None):
@@ -1128,8 +1065,8 @@ class Gateway:
         Optional :class:`~repro.obs.Tracer`.  When set, every accepted
         request opens a ``gateway.request`` span, each dispatched batch
         a ``replica.dispatch`` child, and the engine call an
-        ``engine.predict`` grandchild — across process boundaries on
-        both transports.  ``None`` (default) disables tracing with zero
+        ``engine.predict`` grandchild — across the process boundary
+        too.  ``None`` (default) disables tracing with zero
         per-request overhead.
 
     >>> import numpy as np
@@ -1429,7 +1366,7 @@ class Gateway:
                 span = self.tracer.start_span(
                     "replica.dispatch", parent=tickets[0].span,
                     replica=replica.index, n_rows=len(tickets),
-                    transport=getattr(replica, "transport", replica.kind))
+                    transport=replica.kind)
             try:
                 replica.dispatch(req_id, X,
                                  span.context() if span is not None else None)

@@ -191,17 +191,6 @@ class LatencyHistogram(Histogram):
     def __init__(self, min_latency_s=1e-6):
         super().__init__(min_value=min_latency_s)
 
-    # Seconds-suffixed aliases kept for the pre-relocation callers.
-    @property
-    def total_s(self):
-        """Sum of recorded latencies in seconds (alias of ``total``)."""
-        return self.total
-
-    @property
-    def max_s(self):
-        """Exact maximum recorded latency in seconds (alias of ``max_value``)."""
-        return self.max_value
-
     def summary(self):
         """JSON-able ``{count, mean_ms, p50_ms, p95_ms, p99_ms, max_ms}``."""
         if self.count == 0:
@@ -209,11 +198,11 @@ class LatencyHistogram(Histogram):
                     "p95_ms": None, "p99_ms": None, "max_ms": None}
         return {
             "count": self.count,
-            "mean_ms": round(self.total_s / self.count * 1e3, 3),
+            "mean_ms": round(self.total / self.count * 1e3, 3),
             "p50_ms": round(self.quantile(0.50) * 1e3, 3),
             "p95_ms": round(self.quantile(0.95) * 1e3, 3),
             "p99_ms": round(self.quantile(0.99) * 1e3, 3),
-            "max_ms": round(self.max_s * 1e3, 3),
+            "max_ms": round(self.max_value * 1e3, 3),
         }
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -12,6 +14,24 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _fixtures import random_model  # noqa: E402  (shared, importable helper)
 from repro.data import load_dataset  # noqa: E402
 from repro.tsetlin import TsetlinMachine  # noqa: E402
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_fabric_resources():
+    """Fail the run if it leaves fabric workers or shared-memory rings.
+
+    Process replicas name their ring segments ``tmfab-<parent pid>-...``
+    and their workers ``fabric-replica-<index>``; both must be gone once
+    every test has closed its pools.
+    """
+    yield
+    shm = Path("/dev/shm")
+    rings = (sorted(p.name for p in shm.glob(f"tmfab-{os.getpid()}-*"))
+             if shm.is_dir() else [])
+    workers = [p.name for p in multiprocessing.active_children()
+               if p.name.startswith("fabric-replica-")]
+    assert not rings and not workers, (
+        f"leaked shared-memory rings {rings} and workers {workers}")
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ requests, then a fleet-wide rollback to v1.
 """
 
 import multiprocessing
+import signal
 
 import numpy as np
 import pytest
@@ -314,7 +315,7 @@ def _ring_names(pool):
     return [
         name
         for replica in pool.replicas
-        if getattr(replica, "_ring", None) is not None
+        if replica.kind == "process"
         for name in replica._ring.spec()["names"]
     ]
 
@@ -336,69 +337,109 @@ class TestZeroCopyTransport:
         X = _traffic(engine, 40)
         with ReplicaPool(engine, n_replicas=2, mode="process",
                          max_batch=8) as pool:
-            if any(r.transport != "shm" for r in pool.replicas):
-                pytest.skip("shared memory unavailable on this platform")
+            assert _ring_names(pool)
             gateway = Gateway(pool, max_batch=8)
             tickets = gateway.submit_many(X)
             gateway.flush()
             assert [t.prediction for t in tickets] == \
                 engine.predict(X).tolist()
 
-    def test_forced_pickle_transport_matches(self):
-        engine = _engine()
-        X = _traffic(engine, 20)
-        with ReplicaPool(engine, n_replicas=2, mode="process", max_batch=8,
-                         transport="pickle") as pool:
-            assert all(r.transport == "pickle" for r in pool.replicas)
-            gateway = Gateway(pool, max_batch=8)
-            tickets = gateway.submit_many(X)
-            gateway.flush()
-            assert [t.prediction for t in tickets] == \
-                engine.predict(X).tolist()
+    def test_burst_past_ring_capacity_completes(self):
+        # Regression: a burst that overflowed the 8-slot ring used to go
+        # out as pickled pipe messages, and with wide enough rows parent
+        # and worker both blocked in send() — the flush never returned.
+        engine = InferenceEngine.from_model(
+            random_model(seed=5, n_classes=10, n_features=784), version=1)
+        X = _traffic(engine, 4096)
 
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError):
-            ReplicaPool(_engine(), n_replicas=1, transport="carrier-pigeon")
+        def hung(signum, frame):
+            # Kill the worker first so closing the pool cannot block too.
+            for child in multiprocessing.active_children():
+                if child.name.startswith("fabric-replica-"):
+                    child.kill()
+            # pytest.fail raises a BaseException, which the fabric's
+            # OSError handlers around send() cannot swallow.
+            pytest.fail("4096-row burst did not finish within 30 s")
 
-    def test_oversize_batch_falls_back_to_pickle_per_batch(self):
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with ReplicaPool(engine, n_replicas=1, mode="process",
+                             max_batch=32) as pool:
+                gateway = Gateway(pool, max_batch=32, max_queue=4096)
+                tickets = gateway.submit_many(X)
+                gateway.flush()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [t.prediction for t in tickets] == engine.predict(X).tolist()
+
+    def test_full_ring_reads_oldest_result_before_dispatch(self):
         engine = _engine()
-        X = _traffic(engine, 12)
+        batches = [_traffic(engine, 4, seed=s) for s in range(12)]
         with ReplicaPool(engine, n_replicas=1, mode="process",
                          max_batch=4) as pool:
             replica = pool.replicas[0]
-            if replica.transport != "shm":
-                pytest.skip("shared memory unavailable on this platform")
-            replica.dispatch(1, X)  # 12 rows > 4-row slots
-            assert replica._pending[0][3] is None  # no slot consumed
+            for req_id, X in enumerate(batches, start=1):
+                replica.dispatch(req_id, X)
+                assert len(replica._pending) <= fabric.RING_SLOTS
+            assert replica.outstanding == 12
+            for req_id, X in enumerate(batches, start=1):
+                got_id, preds, sums, version = replica.collect()
+                assert got_id == req_id
+                assert preds.tolist() == engine.predict(X).tolist()
+                assert version == 1
+            assert replica.outstanding == 0
+
+    def test_oversize_batch_recreates_ring(self):
+        engine = _engine()
+        small, X = _traffic(engine, 3, seed=2), _traffic(engine, 12)
+        with ReplicaPool(engine, n_replicas=1, mode="process",
+                         max_batch=4) as pool:
+            replica = pool.replicas[0]
+            old_names = _ring_names(pool)
+            replica.dispatch(1, small)          # in flight on the old ring
+            replica.dispatch(2, X)              # 12 rows > 4-row slots
+            assert replica._ring.max_rows == 12
+            assert not any(_segment_exists(n) for n in old_names)
+            assert all(_segment_exists(n) for n in _ring_names(pool))
             req_id, preds, _, _ = replica.collect()
             assert req_id == 1
+            assert preds.tolist() == engine.predict(small).tolist()
+            req_id, preds, _, _ = replica.collect()
+            assert req_id == 2
             assert preds.tolist() == engine.predict(X).tolist()
 
-    def test_geometry_changing_swap_disables_ring_then_reenables(self):
+    def test_geometry_changing_swap_recreates_ring(self):
         v1 = _engine(version=1)
         wide = InferenceEngine.from_model(
-            random_model(seed=3, n_features=v1.n_features + 2), version=2)
+            random_model(seed=3, n_features=v1.n_features + 2,
+                         n_classes=v1.n_classes + 1), version=2)
         X = _traffic(wide, 10)
         with ReplicaPool(v1, n_replicas=1, mode="process",
                          max_batch=8) as pool:
             replica = pool.replicas[0]
-            if replica.transport != "shm":
-                pytest.skip("shared memory unavailable on this platform")
+            old_names = _ring_names(pool)
             replica.swap(wide)
-            assert not replica._shm_ok  # ring sized for the old snapshot
+            ring = replica._ring
+            assert (ring.n_features, ring.n_classes) == \
+                (wide.n_features, wide.n_classes)
+            assert not any(_segment_exists(n) for n in old_names)
             replica.dispatch(1, X)
-            assert replica._pending[0][3] is None
-            assert replica.collect()[1].tolist() == \
-                wide.predict(X).tolist()
-            replica.swap(_engine(version=3))  # original geometry again
-            assert replica._shm_ok
+            _, preds, sums, version = replica.collect()
+            assert preds.tolist() == wide.predict(X).tolist()
+            assert sums.shape == (len(X), wide.n_classes)
+            assert version == 2
+            v3 = _engine(version=3)             # original geometry again
+            X3 = _traffic(v3, 5)
+            replica.swap(v3)
+            replica.dispatch(2, X3)
+            assert replica.collect()[1].tolist() == v3.predict(X3).tolist()
 
     def test_close_unlinks_every_segment(self):
         with ReplicaPool(_engine(), n_replicas=2, mode="process",
                          max_batch=8) as pool:
             names = _ring_names(pool)
-            if not names:
-                pytest.skip("shared memory unavailable on this platform")
             assert all(_segment_exists(n) for n in names)
         assert not any(_segment_exists(n) for n in names)
 
@@ -408,8 +449,6 @@ class TestZeroCopyTransport:
         with ReplicaPool(engine, n_replicas=2, mode="process",
                          max_batch=8) as pool:
             names = _ring_names(pool)
-            if not names:
-                pytest.skip("shared memory unavailable on this platform")
             gateway = Gateway(pool, max_batch=8)
             tickets = gateway.submit_many(X, keys=[0] * len(X))
             victim = pool.replicas[0]  # holds the in-flight shm batch
@@ -579,8 +618,8 @@ class TestRollingPromotionE2E:
 # ----------------------------------------------------------------------
 # Construction-failure leak regressions
 # ----------------------------------------------------------------------
-def _kaboom_host_loop(conn, engine, shm_spec=None):
-    """Worker body that fails the shm handshake instead of serving."""
+def _kaboom_host_loop(conn, engine, ring_spec):
+    """Worker body that fails the ring-attach handshake instead of serving."""
     conn.send(("error", "attach kaboom"))
     conn.close()
 
@@ -598,9 +637,7 @@ class TestConstructionLeaks:
                 if index == 2:
                     raise RuntimeError("replica 2 spawn blew up")
                 super().__init__(index, engine, **kwargs)
-                names = (self._ring.spec()["names"]
-                         if self._ring is not None else [])
-                created.append((self, names))
+                created.append((self, self._ring.spec()["names"]))
 
         monkeypatch.setattr(fabric, "ProcessReplica", ThirdReplicaFails)
         with pytest.raises(RuntimeError, match="spawn blew up"):
@@ -614,19 +651,12 @@ class TestConstructionLeaks:
         assert leaked == []
 
     def test_failed_handshake_reaps_worker_pipe_and_ring(self, monkeypatch):
-        # Regression: a ("shm", ok) handshake that came back as an error
+        # Regression: a ring-attach handshake that came back as an error
         # used to destroy only the ring, leaking the started worker
         # process and the parent pipe end.
         if multiprocessing.get_start_method(allow_none=True) != "fork":
             pytest.skip("monkeypatched worker body needs fork inheritance")
         engine = _engine()
-        try:
-            probe = fabric._ShmRing(99, 8, engine.n_features,
-                                    engine.n_classes)
-        except (RuntimeError, OSError, ValueError):
-            pytest.skip("shared memory unavailable on this platform")
-        probe.destroy()
-
         names = []
 
         class SpyRing(fabric._ShmRing):
@@ -637,7 +667,7 @@ class TestConstructionLeaks:
         monkeypatch.setattr(fabric, "_ShmRing", SpyRing)
         monkeypatch.setattr(fabric, "_host_loop", _kaboom_host_loop)
         with pytest.raises(ReplicaError, match="attach kaboom"):
-            fabric.ProcessReplica(7, engine, transport="shm", max_rows=8)
+            fabric.ProcessReplica(7, engine, max_rows=8)
         assert names and not any(_segment_exists(n) for n in names)
         assert not any(
             p.name == "fabric-replica-7" and p.is_alive()

@@ -325,17 +325,12 @@ class TestFabricTracing:
             ["gateway.request", "replica.dispatch", "engine.predict"]
         assert chain[2]["attrs"]["transport"] == "inline"
 
-    @pytest.mark.parametrize("transport", ["auto", "pickle"])
-    def test_process_fabric_trace_crosses_worker_boundary(self, transport):
+    def test_process_fabric_trace_crosses_worker_boundary(self):
         engine = _engine()
         tracer = Tracer()
         X = _traffic(engine, 8)
         with ReplicaPool(engine, n_replicas=2, mode="process",
-                         transport=transport, max_batch=8) as pool:
-            if transport == "auto" and \
-                    any(r.transport != "shm" for r in pool.replicas):
-                pytest.skip("shared memory unavailable on this platform")
-            wire = pool.replicas[0].transport
+                         max_batch=8) as pool:
             gateway = Gateway(pool, max_batch=8, tracer=tracer,
                               metrics=MetricsRegistry())
             tickets = gateway.submit_many(X, keys=[0] * len(X))
@@ -349,7 +344,8 @@ class TestFabricTracing:
             ["gateway.request", "replica.dispatch", "engine.predict"]
         assert {s["trace_id"] for s in chain} == {tickets[0].span.trace_id}
         engine_span = chain[2]
-        assert engine_span["attrs"]["transport"] == wire
+        assert engine_span["attrs"]["transport"] == "shm"
+        assert chain[1]["attrs"]["transport"] == "process"
         assert engine_span["attrs"]["n_rows"] == len(X)
         assert engine_span["parent_id"] == chain[1]["span_id"]
         assert chain[1]["parent_id"] == chain[0]["span_id"]
