@@ -66,6 +66,12 @@ GATES = {
     "automl_efficiency.json": (
         "winner_score_ratio",
     ),
+    # Bit-parallel netlist simulator: engine time over simulator time on
+    # the same 64 samples, and 1-lane over 64-lane simulator time.
+    "sim_throughput.json": (
+        "engine_to_sim_ratio",
+        "lane_scaling_ratio",
+    ),
 }
 
 # filename -> dotted paths of gated LOWER-is-better metrics: the fresh
@@ -100,6 +106,11 @@ REPORTED = {
         "spent_epochs",
         "grid_epochs",
         "n_candidates",
+    ),
+    "sim_throughput.json": (
+        "run_batch_1_lane_ms",
+        "run_batch_64_lanes_ms",
+        "engine_ms",
     ),
 }
 

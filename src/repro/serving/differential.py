@@ -21,8 +21,11 @@ quarterly verification run.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
+from ..obs import get_registry
 from ..simulator.design_sim import AcceleratorSimulator
 
 __all__ = ["DifferentialChecker", "DifferentialMismatch"]
@@ -54,9 +57,17 @@ class DifferentialChecker:
         Raise :class:`DifferentialMismatch` immediately (default) or just
         record mismatches for :meth:`report`.
     max_lanes:
-        Batches wider than this are replayed on the first ``max_lanes``
-        samples only (one simulator lane per sample; compile cost grows
-        with width).
+        Batches wider than this are replayed on their first
+        ``max_lanes`` samples only.  A replay runs exactly one simulator
+        lane per checked sample, without padding, on the one program
+        compiled at construction (:attr:`simulator`); its cost grows
+        by one 64-lane word per 64 samples.
+    metrics:
+        The :class:`~repro.obs.MetricsRegistry` the checker counts into
+        (``differential_samples_checked_total``,
+        ``differential_mismatches_total`` — one per mismatched sample —
+        and the ``differential_check_seconds`` replay histogram).
+        Defaults to the process registry (:func:`repro.obs.get_registry`).
 
     Registered as a batcher (or fabric gateway) observer; its exceptions
     *do* propagate out of the otherwise error-isolated observer loop
@@ -75,7 +86,7 @@ class DifferentialChecker:
     propagate_errors = True
 
     def __init__(self, design, fraction=0.1, seed=0, raise_on_mismatch=True,
-                 max_lanes=256):
+                 max_lanes=256, metrics=None):
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
         self.design = design
@@ -83,7 +94,13 @@ class DifferentialChecker:
         self.raise_on_mismatch = bool(raise_on_mismatch)
         self.max_lanes = int(max_lanes)
         self._rng = np.random.default_rng(seed)
-        self._sims = {}  # batch width -> compiled AcceleratorSimulator
+        self.simulator = AcceleratorSimulator(design)
+        self.metrics = metrics if metrics is not None else get_registry()
+        self._m_samples = self.metrics.counter(
+            "differential_samples_checked_total")
+        self._m_mismatches = self.metrics.counter(
+            "differential_mismatches_total")
+        self._m_seconds = self.metrics.histogram("differential_check_seconds")
         self.batches_seen = 0
         self.batches_checked = 0
         self.samples_checked = 0
@@ -110,30 +127,24 @@ class DifferentialChecker:
             class_sums = class_sums[: self.max_lanes]
             predictions = predictions[: self.max_lanes]
 
-        # Deadline flushes produce near-arbitrary batch widths; padding to
-        # the next power of two bounds the compiled-simulator cache to
-        # log2(max_lanes) entries instead of one per width ever seen.
         n = len(X)
-        width = 1
-        while width < n:
-            width *= 2
-        if width > n:
-            X = np.concatenate([X, np.repeat(X[:1], width - n, axis=0)])
-        report = self._simulator(width).run_batch(X)
-        hw_predictions = report.predictions[:n]
-        hw_winner_sums = report.class_sums_of_winner[:n]
+        start = time.perf_counter()
+        report = self.simulator.run_batch(X)
+        self._m_seconds.record(time.perf_counter() - start)
+        hw_predictions = report.predictions
+        hw_winner_sums = report.class_sums_of_winner
         sw_winner_sums = class_sums[np.arange(n), predictions]
-        pred_ok = np.array_equal(hw_predictions, predictions)
-        sums_ok = np.array_equal(hw_winner_sums, sw_winner_sums)
-
-        self.batches_checked += 1
-        self.samples_checked += n
-        if pred_ok and sums_ok:
-            return True
         bad = np.flatnonzero(
             (hw_predictions != predictions)
             | (hw_winner_sums != sw_winner_sums)
         )
+
+        self.batches_checked += 1
+        self.samples_checked += n
+        self._m_samples.inc(n)
+        if not len(bad):
+            return True
+        self._m_mismatches.inc(len(bad))
         record = {
             "batch_index": self.batches_seen,
             "n_samples": n,
@@ -154,13 +165,6 @@ class DifferentialChecker:
                 f"sum {record['sw_winner_sums'][0]})"
             )
         return False
-
-    def _simulator(self, width):
-        sim = self._sims.get(width)
-        if sim is None:
-            sim = AcceleratorSimulator(self.design, batch=width)
-            self._sims[width] = sim
-        return sim
 
     # ------------------------------------------------------------------
     @property

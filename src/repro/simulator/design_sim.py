@@ -24,6 +24,11 @@ from .core import CompiledNetlist
 __all__ = ["AcceleratorSimulator", "StreamReport", "BatchReport"]
 
 
+def _rows(X):
+    X = np.asarray(X, dtype=np.uint8)
+    return X[np.newaxis, :] if X.ndim == 1 else X
+
+
 @dataclass
 class BatchReport:
     """Result of a batched (parallel lanes) run."""
@@ -53,30 +58,39 @@ class StreamReport:
 
 
 class AcceleratorSimulator:
-    """Compile a design once, then drive it under different stimuli."""
+    """Compile a design once, then drive it under different stimuli.
 
-    def __init__(self, design, batch=1):
+    Parameters
+    ----------
+    design:
+        The :class:`~repro.accelerator.generator.AcceleratorDesign` to run.
+    batch:
+        The row count :meth:`run_batch` must be given, or ``None``
+        (default) to let every run take its lane count from ``X``.  The
+        one compiled program serves any width either way.
+    """
+
+    def __init__(self, design, batch=None):
         self.design = design
-        self.sim = CompiledNetlist(design.netlist, batch=batch)
+        self.batch = None if batch is None else int(batch)
+        self.sim = CompiledNetlist(design.netlist,
+                                   batch=1 if batch is None else batch)
 
     # ------------------------------------------------------------------
     def run_batch(self, X, extra_cycles=8):
-        """One datapoint per batch lane; returns a :class:`BatchReport`.
-
-        The compiled batch width must equal ``len(X)``; callers normally
-        construct the simulator with ``batch=len(X)``.
-        """
-        X = np.asarray(X, dtype=np.uint8)
-        if X.ndim == 1:
-            X = X[np.newaxis, :]
-        if X.shape[0] != self.sim.batch:
+        """One datapoint per batch lane; returns a :class:`BatchReport`."""
+        X = _rows(X)
+        if self.batch is not None and len(X) != self.batch:
             raise ValueError(
-                f"batch mismatch: simulator has {self.sim.batch} lanes, "
-                f"X has {X.shape[0]} rows"
+                f"batch mismatch: simulator has {self.batch} lanes, "
+                f"X has {len(X)} rows"
             )
+        return self._run_lanes(X, extra_cycles)
+
+    def _run_lanes(self, X, extra_cycles=8):
         packets = packetize(X, self.design.schedule)  # (n, P)
         sim = self.sim
-        sim.reset()
+        sim.reset(batch=len(X))
         predictions = np.full(sim.batch, -1, dtype=np.int64)
         winner_sums = np.zeros(sim.batch, dtype=np.int64)
         first_valid = None
@@ -120,16 +134,14 @@ class AcceleratorSimulator:
         gap:
             Idle cycles the host inserts between beats (bandwidth model).
         """
-        if self.sim.batch != 1:
+        if self.batch not in (None, 1):
             raise ValueError("run_stream requires a simulator with batch=1")
-        X = np.asarray(X, dtype=np.uint8)
-        if X.ndim == 1:
-            X = X[np.newaxis, :]
+        X = _rows(X)
         packets = packetize(X, self.design.schedule).reshape(-1)  # flat words
         master = AxiStreamMaster(packets, gap=gap)
         monitor = AxiStreamMonitor()
         sim = self.sim
-        sim.reset()
+        sim.reset(batch=1)
 
         predictions = []
         result_cycles = []
@@ -165,12 +177,11 @@ class AcceleratorSimulator:
     def verify_against_model(self, X):
         """Software/RTL equivalence check (the auto-debug promise).
 
-        Returns ``(matches, predictions_hw, predictions_sw)``.
+        Runs ``len(X)`` lanes on this simulator's compiled program,
+        whatever its ``batch``.  Returns
+        ``(matches, predictions_hw, predictions_sw)``.
         """
-        X = np.asarray(X, dtype=np.uint8)
-        if X.ndim == 1:
-            X = X[np.newaxis, :]
-        sim = AcceleratorSimulator(self.design, batch=len(X))
-        report = sim.run_batch(X)
+        X = _rows(X)
+        report = self._run_lanes(X)
         sw = self.design.model.predict(X)
         return bool(np.array_equal(report.predictions, sw)), report.predictions, sw

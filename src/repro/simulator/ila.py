@@ -74,11 +74,8 @@ class ILACore:
         self.trigger_cycle = None
 
     def _read_probe(self, name):
-        nets = self.probes[name]
-        word = 0
-        for i, nid in enumerate(nets):
-            word |= int(self.sim.values[nid][0]) << i
-        return word
+        bits = self.sim.lanes(self.probes[name])[:, 0]
+        return sum(int(bit) << i for i, bit in enumerate(bits))
 
     def sample(self):
         """Record one cycle of all probes (call once per clock)."""

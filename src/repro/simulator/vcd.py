@@ -62,10 +62,8 @@ class VcdTracer:
         """Record the current value of every probe (call once per cycle)."""
         values = {}
         for name, nets in self.probes.items():
-            word = 0
-            for i, nid in enumerate(nets):
-                word |= int(self.sim.values[nid][0]) << i
-            values[name] = word
+            bits = self.sim.lanes(nets)[:, 0]
+            values[name] = sum(int(bit) << i for i, bit in enumerate(bits))
         self._samples.append((self.sim.cycle, values))
 
     def render(self):

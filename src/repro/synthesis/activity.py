@@ -65,15 +65,16 @@ def measure_activity(sim, drive, n_cycles, top_k=10):
         raise ValueError("n_cycles must be >= 1")
     netlist = sim.netlist
     n = netlist.n_nodes()
+    every_net = np.arange(n)
     toggles = np.zeros(n, dtype=np.float64)
-    prev = sim.values.copy()
+    prev = sim.lanes(every_net)
     for cycle in range(n_cycles):
         drive(sim, cycle)
         sim.settle()
         sim.clock()
-        diff = (sim.values != prev).mean(axis=1)
-        toggles += diff
-        prev = sim.values.copy()
+        values = sim.lanes(every_net)
+        toggles += (values != prev).mean(axis=1)
+        prev = values
 
     rates = toggles / n_cycles
     gate_ids = [i for i, node in enumerate(netlist.nodes) if node.kind in GATE_KINDS]

@@ -82,6 +82,33 @@ class TestEquivalence:
         assert ok
 
 
+class TestWidthIsARunArgument:
+    def test_verify_against_model_reuses_the_compiled_program(self):
+        model = random_model(n_features=20, seed=6)
+        design = generate_accelerator(model, AcceleratorConfig(bus_width=8))
+        sim = AcceleratorSimulator(design, batch=4)
+        program = sim.sim
+        rng = np.random.default_rng(3)
+        for n in (7, 70):
+            X = rng.integers(0, 2, size=(n, 20)).astype(np.uint8)
+            ok, hw, sw = sim.verify_against_model(X)
+            assert ok and len(hw) == n
+            assert np.array_equal(hw, model.predict(X))
+            assert sim.sim is program and program.batch == n
+
+    def test_unfixed_simulator_runs_any_width_then_streams(self):
+        model = random_model(n_features=20, seed=5)
+        design = generate_accelerator(model, AcceleratorConfig(bus_width=8))
+        sim = AcceleratorSimulator(design)
+        rng = np.random.default_rng(4)
+        for n in (65, 1, 3):
+            X = rng.integers(0, 2, size=(n, 20)).astype(np.uint8)
+            assert np.array_equal(sim.run_batch(X).predictions,
+                                  model.predict(X))
+        X = rng.integers(0, 2, size=(3, 20)).astype(np.uint8)
+        assert np.array_equal(sim.run_stream(X).predictions, model.predict(X))
+
+
 class TestStreamTiming:
     def test_initiation_interval_matches_packets(self):
         model = random_model(n_features=20, seed=2)

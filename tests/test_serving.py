@@ -5,6 +5,7 @@ import pytest
 
 from _fixtures import random_model
 from repro.accelerator import AcceleratorConfig, generate_accelerator
+from repro.obs import MetricsRegistry
 from repro.serving import (
     Batcher,
     ConvolutionalInferenceEngine,
@@ -17,6 +18,7 @@ from repro.serving import (
     serve_benchmark,
     snapshot_engine,
 )
+from repro.simulator import CompiledNetlist
 from repro.tsetlin import (
     CoalescedTsetlinMachine,
     ConvolutionalTsetlinMachine,
@@ -463,16 +465,49 @@ class TestDifferentialChecker:
         assert rec["hw_predictions"] == rec["sw_predictions"]
         assert "MISMATCH" in checker.summary()
 
-    def test_non_power_of_two_batch_padded_and_sims_bounded(self, small_serving):
-        """Odd batch widths (deadline flushes) are padded to the next power
-        of two, so the compiled-simulator cache stays bounded."""
+    def test_odd_widths_share_one_compiled_program(self, small_serving,
+                                                   monkeypatch):
+        """Deadline flushes produce arbitrary batch widths; each replays
+        exactly its own lanes, all on the program compiled at
+        construction."""
         model, design, X = small_serving
+        X = np.concatenate([X, X])  # room for a two-word (65-lane) batch
+        compiles = []
+        compile_netlist = CompiledNetlist.__init__
+
+        def counting(self, *args, **kwargs):
+            compiles.append(1)
+            compile_netlist(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledNetlist, "__init__", counting)
         checker = DifferentialChecker(design, fraction=1.0)
-        for n in (3, 5, 6, 7):
+        program = checker.simulator.sim
+        widths = (3, 5, 6, 7, 65)
+        for n in widths:
             assert checker(X[:n], model.class_sums(X[:n]),
                            model.predict(X[:n])) is True
-        assert checker.samples_checked == 3 + 5 + 6 + 7
-        assert set(checker._sims) <= {4, 8}  # not one sim per width
+            assert program.batch == n  # no padding lanes
+        assert checker.samples_checked == sum(widths)
+        assert checker.simulator.sim is program
+        assert len(compiles) == 1
+
+    def test_metrics_count_samples_mismatches_and_replays(self,
+                                                          small_serving):
+        model, design, X = small_serving
+        registry = MetricsRegistry()
+        checker = DifferentialChecker(design, fraction=1.0,
+                                      raise_on_mismatch=False,
+                                      metrics=registry)
+        sums = model.class_sums(X[:6])
+        preds = model.predict(X[:6])
+        assert checker(X[:6], sums, preds) is True
+        bad = preds.copy()
+        bad[[1, 4]] = (bad[[1, 4]] + 1) % model.n_classes
+        assert checker(X[:6], sums, bad) is False
+        assert registry.counter(
+            "differential_samples_checked_total").value == 12
+        assert registry.counter("differential_mismatches_total").value == 2
+        assert registry.histogram("differential_check_seconds").count == 2
 
     def test_max_lanes_truncation(self, small_serving):
         model, design, X = small_serving
