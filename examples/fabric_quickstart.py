@@ -8,7 +8,7 @@ The scale-out tour, end to end:
 3. fan single-sample request traffic across the fleet (deterministic
    key routing, bounded queue, per-replica micro-batches),
 4. train a challenger on fresher data and promote it replica-by-replica
-   with RollingPromoter — every replica is drained, swapped and
+   with Promoter — every replica is drained, swapped and
    health-checked in turn, with zero dropped requests,
 5. roll the whole fleet back.
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.data import load_dataset
 from repro.serving import Gateway, Registry, ReplicaPool
-from repro.streaming import RollingPromoter
+from repro.streaming import Promoter
 from repro.tsetlin import TsetlinMachine
 
 
@@ -64,7 +64,7 @@ def main():
         # 4. A challenger trained on everything since rolls through the
         #    fleet.
         challenger = train(ds, n_samples=len(ds.X_train), epochs=4, seed=42)
-        promoter = RollingPromoter(registry, "kws6", gateway)
+        promoter = Promoter(registry, "kws6", gateway)
         record = promoter.promote(challenger, ds.X_test, ds.y_test)
         print(f"promotion: champion {record['champion_accuracy']:.4f} vs "
               f"challenger {record['challenger_accuracy']:.4f} -> "

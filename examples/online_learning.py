@@ -5,7 +5,7 @@ The full `repro.streaming` loop on a synthetic drifting stream:
 1. replay a dataset as micro-batched request traffic,
 2. inject an abrupt concept drift (label permutation) at a known onset,
 3. warm up and publish a champion, serve the stream through the
-   Batcher,
+   Batcher (a one-replica Gateway),
 4. detect the accuracy collapse from served predictions vs delayed
    labels (ADWIN-style windowed mean-shift test),
 5. train a challenger online (`partial_fit`) on post-detection traffic,

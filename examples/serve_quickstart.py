@@ -5,7 +5,7 @@ The serving tour, end to end:
 1. train a Tsetlin Machine (the vectorized backend),
 2. publish a frozen snapshot to a versioned Registry,
 3. serve single-sample requests through the micro-batching Batcher
-   (packed-literal engine under the hood),
+   (a one-replica Gateway; packed-literal engine under the hood),
 4. keep training and publish v2 — the live engine is unaffected until
    you switch versions,
 5. attach a DifferentialChecker so a sampled fraction of *served*
@@ -58,14 +58,15 @@ def main():
 
     t0 = time.perf_counter()
     tickets = [batcher.submit(x) for x in ds.X_test]
-    batcher.flush()
+    batcher.flush()  # collect every dispatched batch, resolve every ticket
     elapsed = time.perf_counter() - t0
     correct = sum(
         t.result() == int(y) for t, y in zip(tickets, ds.y_test)
     )
+    stats = batcher.stats
     print(
-        f"served {len(tickets)} requests as {batcher.stats.n_batches} "
-        f"batches (mean size {batcher.stats.mean_batch_size:.1f}) in "
+        f"served {len(tickets)} requests as {stats.n_batches} "
+        f"batches (mean size {stats.n_samples / stats.n_batches:.1f}) in "
         f"{elapsed * 1e3:.1f} ms -> {len(tickets) / elapsed:.0f} req/s, "
         f"accuracy {correct / len(tickets):.4f}"
     )

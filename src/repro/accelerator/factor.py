@@ -82,10 +82,14 @@ def factor_cubes(cubes, min_count=2, max_steps=None):
         next_id += 1
         steps.append((sym, a, b))
         # Substitute into every cube containing both symbols, updating the
-        # pair counts incrementally.
+        # pair counts incrementally.  Cubes are sets holding ("f", n)
+        # tuples, whose iteration order follows the per-process string
+        # hash; walking them in repr order keeps the Counter's insertion
+        # order — and so most_common's tie-breaks and the netlist —
+        # independent of PYTHONHASHSEED.
         for cube in work:
             if a in cube and b in cube:
-                for x in cube:
+                for x in sorted(cube, key=repr):
                     if x != a and x != b:
                         for pair in (_pk(x, a), _pk(x, b)):
                             counts[pair] -= 1
@@ -93,7 +97,7 @@ def factor_cubes(cubes, min_count=2, max_steps=None):
                                 del counts[pair]
                 cube.discard(a)
                 cube.discard(b)
-                for x in cube:
+                for x in sorted(cube, key=repr):
                     counts[_pk(x, sym)] += 1
                 cube.add(sym)
         counts.pop(_pk(a, b), None)

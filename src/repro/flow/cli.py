@@ -115,12 +115,13 @@ def build_parser():
     serve.add_argument("--requests", type=int, default=256,
                        help="number of single-sample requests to drive")
     serve.add_argument("--replicas", type=int, default=1,
-                       help="serve through a fabric of N replica worker "
-                            "processes (1 = classic single-engine path)")
-    serve.add_argument("--replica-mode", default="process",
+                       help="serve through a gateway over N engine "
+                            "replicas")
+    serve.add_argument("--replica-mode", default=None,
                        choices=("process", "inline"),
-                       help="fabric replica hosting (inline = in-process, "
-                            "deterministic; for tests and tiny machines)")
+                       help="replica hosting (inline = in-process, "
+                            "deterministic; default: inline for one "
+                            "replica, one worker process each otherwise)")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="micro-batch size trigger")
     serve.add_argument("--max-delay-us", type=float, default=2000.0,
@@ -157,7 +158,7 @@ def build_parser():
                             "(gateway + replica workers) to this path")
     serve.add_argument("--trace-jsonl", default=None, dest="trace_jsonl",
                        help="write finished request spans to this JSONL "
-                            "path (fabric mode: --replicas >= 2)")
+                            "path")
     serve.add_argument("--json", action="store_true",
                        help="print machine-readable serving stats")
 
@@ -576,10 +577,20 @@ def _metrics_capture(path, out):
 
 
 def _cmd_serve(args, out):
-    from ..serving import Batcher, DifferentialChecker, Registry
+    from ..serving import (
+        SLO,
+        AdmissionController,
+        DifferentialChecker,
+        Gateway,
+        Registry,
+        ReplicaPool,
+    )
 
     if args.requests < 1:
         print("serve: --requests must be >= 1", file=out)
+        return 2
+    if args.replicas < 1:
+        print("serve: --replicas must be >= 1", file=out)
         return 2
     config = _config_from_args(args)
     flow = MatadorFlow(
@@ -614,75 +625,51 @@ def _cmd_serve(args, out):
         names = [name for name in args.tenants.split(",") if name]
         tenants = [names[i % len(names)] for i in range(n)]
 
-    if args.replicas > 1:
-        from ..serving import SLO, AdmissionController, Gateway, ReplicaPool
+    tracer = sink = None
+    if args.trace_jsonl:
+        from ..obs import JsonlSpanSink, Tracer
 
-        tracer = sink = None
-        if args.trace_jsonl:
-            from ..obs import JsonlSpanSink, Tracer
-
-            trace_path = Path(args.trace_jsonl)
-            trace_path.parent.mkdir(parents=True, exist_ok=True)
-            sink = JsonlSpanSink(trace_path)
-            tracer = Tracer(sink=sink)
-        admission = None
-        if args.admit_rate is not None or args.quota is not None:
-            admission = AdmissionController(
-                rate=args.admit_rate, burst=args.admit_burst,
-                quota=args.quota)
-        slo = None
-        if args.deadline_ms is not None:
-            slo = SLO(deadline_s=args.deadline_ms * 1e-3)
-        with ReplicaPool(engine, n_replicas=args.replicas,
-                         mode=args.replica_mode,
-                         max_batch=args.max_batch) as pool:
-            gateway = Gateway(
-                pool,
-                max_batch=args.max_batch,
-                max_queue=args.max_queue,
-                overflow=args.overflow,
-                max_delay=args.max_delay_us * 1e-6,
-                admission=admission,
-                slo=slo,
-                observers=[checker] if checker is not None else (),
-                tracer=tracer,
-            )
-            t0 = time.perf_counter()
-            tickets = gateway.submit_many(X, tenants=tenants,
-                                          klass=args.klass)
-            gateway.flush()
-            elapsed = time.perf_counter() - t0
-            if args.metrics_json:
-                # Fold the worker-side registries (engine batch timings)
-                # into the run snapshot while the workers are still up.
-                gateway.pool.collect_metrics()
-            fabric_report = gateway.report()
-        if sink is not None:
-            sink.close()
-            print(f"traces: {args.trace_jsonl}", file=out)
-        answered = [(t, lbl) for t, lbl in zip(tickets, y) if not t.shed]
-        n_shed = len(tickets) - len(answered)
-        correct = sum(t.result() == int(lbl) for t, lbl in answered)
-        served_detail = fabric_report
-        n_batches = gateway.stats.n_batches
-    else:
-        if args.trace_jsonl or tenants is not None or args.klass:
-            print("serve: --trace-jsonl/--tenants/--klass need the "
-                  "fabric path (--replicas >= 2); ignored", file=out)
-        batcher = Batcher(
-            engine,
+        trace_path = Path(args.trace_jsonl)
+        trace_path.parent.mkdir(parents=True, exist_ok=True)
+        sink = JsonlSpanSink(trace_path)
+        tracer = Tracer(sink=sink)
+    admission = None
+    if args.admit_rate is not None or args.quota is not None:
+        admission = AdmissionController(
+            rate=args.admit_rate, burst=args.admit_burst, quota=args.quota)
+    slo = None
+    if args.deadline_ms is not None:
+        slo = SLO(deadline_s=args.deadline_ms * 1e-3)
+    mode = args.replica_mode or ("inline" if args.replicas == 1
+                                 else "process")
+    with ReplicaPool(engine, n_replicas=args.replicas, mode=mode,
+                     max_batch=args.max_batch) as pool:
+        gateway = Gateway(
+            pool,
             max_batch=args.max_batch,
+            max_queue=args.max_queue,
+            overflow=args.overflow,
             max_delay=args.max_delay_us * 1e-6,
+            admission=admission,
+            slo=slo,
             observers=[checker] if checker is not None else (),
+            tracer=tracer,
         )
         t0 = time.perf_counter()
-        tickets = [batcher.submit(x) for x in X]
-        batcher.flush()
+        tickets = gateway.submit_many(X, tenants=tenants, klass=args.klass)
+        gateway.flush()
         elapsed = time.perf_counter() - t0
-        correct = sum(t.result() == int(lbl) for t, lbl in zip(tickets, y))
-        served_detail = {"batcher": batcher.stats.to_dict()}
-        n_batches = batcher.stats.n_batches
-        n_shed = 0
+        if args.metrics_json:
+            # Fold the worker-side registries (engine batch timings)
+            # into the run snapshot while the workers are still up.
+            gateway.pool.collect_metrics()
+        served_detail = gateway.report()
+    if sink is not None:
+        sink.close()
+        print(f"traces: {args.trace_jsonl}", file=out)
+    answered = [(t, lbl) for t, lbl in zip(tickets, y) if not t.shed]
+    n_shed = len(tickets) - len(answered)
+    correct = sum(t.result() == int(lbl) for t, lbl in answered)
 
     n_answered = n - n_shed
     stats = {
@@ -699,12 +686,11 @@ def _cmd_serve(args, out):
     if args.json:
         print(json.dumps(stats, indent=1), file=out)
     else:
-        front = (f"{args.replicas}-replica fabric"
-                 if args.replicas > 1 else "batcher")
         shed_note = f", {n_shed} shed" if n_shed else ""
         print(
-            f"served {n_answered} requests as {n_batches} batches via "
-            f"{front} in {elapsed:.3f}s = {stats['requests_per_s']:.0f} "
+            f"served {n_answered} requests as {gateway.stats.n_batches} "
+            f"batches via {args.replicas}-replica gateway in "
+            f"{elapsed:.3f}s = {stats['requests_per_s']:.0f} "
             f"req/s{shed_note}, accuracy {stats['accuracy']:.4f}",
             file=out,
         )

@@ -1,8 +1,8 @@
 """Unified observability: metrics registry + request tracing.
 
-Telemetry used to be scattered — per-gateway ``FabricStats``,
-``BatcherStats``, ad-hoc replica ``stats()`` dicts — with nothing
-following a request across layers.  This package is the common layer
+Telemetry used to be scattered — per-gateway ``FabricStats``, ad-hoc
+replica ``stats()`` dicts — with nothing following a request across
+layers.  This package is the common layer
 every subsystem writes into:
 
 :mod:`repro.obs.metrics`

@@ -1,8 +1,8 @@
 """Process-local metrics: counters, gauges, log-bucketed histograms.
 
 Every layer of the system used to invent its own telemetry —
-``FabricStats`` counters, ``BatcherStats``, per-replica ``stats()``
-dicts — none of which composed.  This module is the shared vocabulary:
+``FabricStats`` counters, per-replica ``stats()`` dicts — none of which
+composed.  This module is the shared vocabulary:
 a :class:`MetricsRegistry` holds named instruments with label sets
 (``requests_total{tenant="a"}``), and the instrumented layers
 (:mod:`repro.serving`, :mod:`repro.streaming`, :mod:`repro.sweep`,

@@ -3,7 +3,8 @@
 The serving counterpart of the pluggable training engine
 (:mod:`repro.tsetlin.backend`): pack a model snapshot once, answer
 requests with bit-packed kernels, coalesce single-sample traffic into
-micro-batches, version snapshots so training can continue behind a live
+micro-batches behind one front-end (the ``Gateway``, whatever the fleet
+size), version snapshots so training can continue behind a live
 registry, and continuously cross-check served batches against the
 cycle-accurate simulator of the generated accelerator.
 
@@ -11,19 +12,20 @@ Layer map::
 
     InferenceEngine       packed-literal batched inference on one frozen
                           model snapshot (flat / coalesced / conv)
-    Batcher               size+deadline micro-batching scheduler with
-                          per-batch observers
     Registry              named, versioned snapshot store (publish ->
                           serve while training continues)
-    DifferentialChecker   batcher observer replaying sampled served
+    DifferentialChecker   gateway observer replaying sampled served
                           batches through repro.simulator.design_sim,
                           asserting prediction + winner-class-sum
                           equality with the silicon
     ReplicaPool           fabric: N replicas (worker processes or inline)
                           over one warm packed snapshot, health checks
-    Gateway               fabric front-end: bounded queue, backpressure,
-                          deterministic routing with failover, rolling
-                          replica-by-replica engine swap, metrics
+    Gateway               the front-end: size+deadline micro-batching,
+                          bounded queue, backpressure, deterministic
+                          routing with failover, per-batch observers,
+                          rolling replica-by-replica engine swap, metrics
+    Batcher               a one-replica inline Gateway built from an
+                          engine (single-engine serving, streaming)
     AdmissionController   QoS front door: per-tenant token buckets +
                           lifetime quotas (refusals shed at submit)
     SLO / LatencyHistogram  deadline objectives + streaming p50/p95/p99
@@ -40,11 +42,11 @@ Layer map::
                           measurement (CLI `bench-fabric`)
 """
 
-from .batcher import Batcher, BatcherStats, Ticket
 from .differential import DifferentialChecker, DifferentialMismatch
 from .engine import ConvolutionalInferenceEngine, InferenceEngine, snapshot_engine
 from .fabric import (
     Backpressure,
+    Batcher,
     FabricStats,
     FabricTicket,
     Gateway,
@@ -74,15 +76,13 @@ from .bench import (
 )
 
 __all__ = [
-    "Batcher",
-    "BatcherStats",
-    "Ticket",
     "DifferentialChecker",
     "DifferentialMismatch",
     "ConvolutionalInferenceEngine",
     "InferenceEngine",
     "snapshot_engine",
     "Backpressure",
+    "Batcher",
     "FabricStats",
     "FabricTicket",
     "Gateway",

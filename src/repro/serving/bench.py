@@ -3,7 +3,7 @@
 Two measurements matter for the serving engine:
 
 * **packed batched path** — ``InferenceEngine.predict`` on whole batches
-  (what the batcher flushes);
+  (what the gateway dispatches);
 * **per-sample baseline** — the pre-serving way: one
   ``model.predict(x)`` call per request, paying the generic
   ``batch_outputs`` setup every time.

@@ -4,7 +4,7 @@ The paper's core promise is that the generated accelerator is
 functionally identical to the software model.  Training-side backends pin
 their half of that promise with ``tests/test_backend_equivalence.py``;
 this module pins the serving side *continuously*: a
-:class:`DifferentialChecker` registered as a batcher observer replays a
+:class:`DifferentialChecker` registered as a gateway observer replays a
 sampled fraction of the batches the engine actually served through the
 cycle-accurate netlist simulator
 (:class:`~repro.simulator.design_sim.AcceleratorSimulator`) and demands
@@ -69,20 +69,30 @@ class DifferentialChecker:
         and the ``differential_check_seconds`` replay histogram).
         Defaults to the process registry (:func:`repro.obs.get_registry`).
 
-    Registered as a batcher (or fabric gateway) observer; its exceptions
-    *do* propagate out of the otherwise error-isolated observer loop
-    (``propagate_errors = True``) because a divergence is a correctness
-    event, not a metrics blip.
+    Registered as a :class:`~repro.serving.Gateway` observer (any fleet
+    size, a one-replica :class:`~repro.serving.Batcher` included), it
+    sees every collected batch; its exceptions *do* propagate out of the
+    otherwise error-isolated observer loop (``propagate_errors = True``)
+    because a divergence is a correctness event, not a metrics blip.
 
+    >>> import numpy as np
     >>> from repro.accelerator import AcceleratorConfig, generate_accelerator
-    >>> from repro.serving import Batcher, DifferentialChecker  # doctest: +SKIP
-    >>> design = generate_accelerator(model, AcceleratorConfig())  # doctest: +SKIP
-    >>> checker = DifferentialChecker(design, fraction=0.1)  # doctest: +SKIP
-    >>> batcher = Batcher(engine, observers=[checker])  # doctest: +SKIP
+    >>> from repro.model import TMModel
+    >>> from repro.serving import Batcher, DifferentialChecker, InferenceEngine
+    >>> include = np.zeros((2, 1, 4), dtype=bool)
+    >>> include[0, 0, 0] = True; include[1, 0, 2] = True
+    >>> model = TMModel(include=include, n_features=2, weights=[[1], [1]])
+    >>> design = generate_accelerator(model, AcceleratorConfig())
+    >>> checker = DifferentialChecker(design, fraction=1.0)
+    >>> with Batcher(InferenceEngine.from_model(model), max_batch=2,
+    ...              observers=[checker]) as batcher:
+    ...     tickets = [batcher.submit(x) for x in ([1, 0], [0, 1], [1, 0])]
+    >>> [t.result() for t in tickets], checker.samples_checked, checker.clean
+    ([0, 1, 0], 3, True)
     """
 
     #: A divergence must surface even though plain observer errors are
-    #: isolated by the batcher/gateway (see ``notify_observers``).
+    #: isolated by the gateway (see ``notify_observers``).
     propagate_errors = True
 
     def __init__(self, design, fraction=0.1, seed=0, raise_on_mismatch=True,
@@ -108,7 +118,7 @@ class DifferentialChecker:
 
     # ------------------------------------------------------------------
     def __call__(self, X, class_sums, predictions):
-        """Batcher-observer entry point: maybe replay this batch."""
+        """Gateway-observer entry point: maybe replay this batch."""
         self.batches_seen += 1
         take = self.batches_seen == 1 or self._rng.random() < self.fraction
         if not take:

@@ -72,8 +72,6 @@ class InferenceEngine:
     array([0, 1])
     >>> engine.class_sums([[1, 0]])
     array([[1, 0]], dtype=int32)
-    >>> engine.requests_served, engine.samples_served
-    (2, 3)
     """
 
     def __init__(self, include, weights, n_features, name="model", version=0):
@@ -112,9 +110,6 @@ class InferenceEngine:
         self._weights_active_t = np.ascontiguousarray(
             self.active_index.weights_active.T
         )
-        # Serving counters (read by the batcher stats and the CLI).
-        self.requests_served = 0
-        self.samples_served = 0
 
     # ------------------------------------------------------------------
     @property
@@ -141,10 +136,7 @@ class InferenceEngine:
         X = self._check_features(X)
         nlp = pack_not_literals(literals_from_features(X).astype(bool))
         out = packed_clause_outputs(nlp, self._inc_packed_active)  # (n, A)
-        sums = out.astype(np.int32) @ self._weights_active_t
-        self.requests_served += 1
-        self.samples_served += len(X)
-        return sums
+        return out.astype(np.int32) @ self._weights_active_t
 
     def predict(self, X):
         """Predicted class per sample (ties toward the lower index)."""
@@ -231,10 +223,7 @@ class ConvolutionalInferenceEngine(InferenceEngine):
         per_patch = packed_clause_outputs(nlp, self._inc_packed_active)
         A = per_patch.shape[-1]
         fired = per_patch.reshape(n, P, A).any(axis=1)
-        sums = fired.astype(np.int32) @ self._weights_active_t
-        self.requests_served += 1
-        self.samples_served += n
-        return sums
+        return fired.astype(np.int32) @ self._weights_active_t
 
     @classmethod
     def from_machine(cls, machine, name="ctm", version=0):

@@ -1,11 +1,9 @@
-"""Sharded multi-replica serving fabric: scale one engine across workers.
+"""The serving front-end: micro-batch, route and observe over N replicas.
 
-A single :class:`~repro.serving.Batcher` over one
-:class:`~repro.serving.engine.InferenceEngine` is capped by one core and
-a promotion swaps the only engine.  The fabric fans request traffic
-across a *pool of replicas* — each hosting its own engine snapshot,
-with the per-replica micro-batching done by the gateway's queues —
-behind one front-end:
+One mechanism serves every fleet size.  Request traffic fans across a
+*pool of replicas* — each hosting its own engine snapshot, with the
+per-replica micro-batching done by the gateway's queues — behind one
+front-end:
 
 ``ReplicaPool``
     N replicas over one frozen registry snapshot.  ``mode="process"``
@@ -31,8 +29,14 @@ behind one front-end:
     The promotion primitive: drain and swap one replica at a time, health
     checking each before moving on, so a challenger rolls through the
     fleet with zero dropped requests; a failed roll swaps the already-
-    promoted replicas back.  :class:`~repro.streaming.RollingPromoter`
-    drives it from the shadow-evaluation gate.
+    promoted replicas back.  :class:`~repro.streaming.Promoter` drives
+    it from the shadow-evaluation gate.
+
+``Batcher``
+    A one-replica, in-process ``Gateway`` built straight from an engine:
+    the single-sample micro-batching front-end that streaming sessions
+    and small deployments use.  Everything but the constructor is the
+    gateway's.
 
 Overload behaviour (the QoS layer, policies in
 :mod:`repro.serving.fabric_qos`): an optional
@@ -78,17 +82,61 @@ import numpy as np
 
 from repro.obs import MetricsRegistry, get_registry
 
-from .batcher import notify_observers
 from .fabric_qos import LatencyHistogram
 
 __all__ = [
     "Backpressure",
+    "Batcher",
     "FabricStats",
     "FabricTicket",
     "Gateway",
     "ReplicaError",
     "ReplicaPool",
 ]
+
+
+def notify_observers(observers, X, class_sums, predictions, stats, errors):
+    """Run every observer over one served batch, isolating failures.
+
+    Observers are metrics/verification hooks riding on served traffic; a
+    crashing hook must not take the serving path down with it.  Each
+    failure is counted on ``stats.observer_errors`` and appended to
+    ``errors`` as ``(observer_name, exception_repr)``.  An observer with
+    a truthy ``propagate_errors`` attribute (the
+    :class:`~repro.serving.differential.DifferentialChecker`) re-raises —
+    but only after the remaining observers have seen the batch, so a
+    divergence report never starves the hooks behind it.
+
+    >>> import numpy as np
+    >>> class Stats:
+    ...     observer_errors = 0
+    >>> def bad(X, sums, preds):
+    ...     raise ValueError("boom")
+    >>> seen = []
+    >>> errors = []
+    >>> notify_observers([bad, lambda X, s, p: seen.append(len(X))],
+    ...                  np.zeros((3, 2)), None, None, Stats(), errors)
+    >>> seen, len(errors)
+    ([3], 1)
+    """
+    deferred = None
+    for obs in observers:
+        try:
+            obs(X, class_sums, predictions)
+        except Exception as exc:
+            propagate = getattr(obs, "propagate_errors", False)
+            if propagate and deferred is None:
+                deferred = exc
+            else:
+                # Recorded: isolated observers always; a *second*
+                # propagating failure too — only one exception can
+                # surface, and a divergence must never vanish untraced.
+                stats.observer_errors += 1
+                name = getattr(obs, "__name__", type(obs).__name__)
+                errors.append((name, repr(exc)))
+                del errors[:-32]  # bound the error log
+    if deferred is not None:
+        raise deferred
 
 
 class Backpressure(RuntimeError):
@@ -387,31 +435,28 @@ class _ReplicaBase:
         self.index = int(index)
         self.version = engine.version
         self.healthy = True
-        self.n_batches = 0
         self.n_samples = 0
-        self.busy_s = 0.0        # summed dispatch->result wall time
-        self.max_latency_s = 0.0
-        self.latency = LatencyHistogram()   # per-batch dispatch->result
+        # Per-batch dispatch->result time; its count, total and max are
+        # the replica's batch count, busy time and worst batch latency.
+        self.latency = LatencyHistogram()
         self.tracer = None       # set by a Gateway constructed with one
 
     def _account(self, n_samples, latency_s):
-        self.n_batches += 1
         self.n_samples += n_samples
-        self.busy_s += latency_s
-        self.max_latency_s = max(self.max_latency_s, latency_s)
         self.latency.record(latency_s)
 
     def stats(self):
         """Per-replica counter snapshot (JSON-able)."""
-        quantiles = self.latency.summary()
+        latency = self.latency
+        quantiles = latency.summary()
         return {
             "kind": self.kind,
             "healthy": self.healthy,
             "version": self.version,
-            "batches": self.n_batches,
+            "batches": latency.count,
             "samples": self.n_samples,
-            "busy_s": round(self.busy_s, 4),
-            "max_latency_ms": round(self.max_latency_s * 1e3, 3),
+            "busy_s": round(latency.total, 4),
+            "max_latency_ms": round(latency.max_value * 1e3, 3),
             "p50_ms": quantiles["p50_ms"],
             "p95_ms": quantiles["p95_ms"],
             "p99_ms": quantiles["p99_ms"],
@@ -474,7 +519,7 @@ class InlineReplica(_ReplicaBase):
         self.version = engine.version
 
     def ping(self):
-        return {"version": self.version, "batches": self.n_batches,
+        return {"version": self.version, "batches": self.latency.count,
                 "samples": self.n_samples}
 
     def close(self):
@@ -1054,8 +1099,10 @@ class Gateway:
         way (``report()["fabric"]["latency"]``).
     observers:
         ``obs(X, class_sums, predictions)`` hooks run in the parent over
-        every *collected* batch, with the same error isolation as
-        :class:`~repro.serving.Batcher` observers.
+        every *collected* batch.  A crashing observer is recorded
+        (``stats.observer_errors``) instead of dropping the batch; one
+        that sets ``propagate_errors = True`` re-raises after every
+        ticket of the batch has resolved (see :func:`notify_observers`).
     metrics:
         The :class:`~repro.obs.MetricsRegistry` the gateway counts into
         (requests, sheds, failovers, batch sizes, per-replica queue
@@ -1093,6 +1140,8 @@ class Gateway:
             raise ValueError(f"unknown overflow policy {overflow!r}")
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
+        if max_delay is not None and max_delay < 0:
+            raise ValueError("max_delay must be >= 0 (or None)")
         self.pool = pool
         self.metrics = metrics if metrics is not None else get_registry()
         self.tracer = tracer
@@ -1254,7 +1303,7 @@ class Gateway:
         """
         rate = self.slo.service_rate
         if rate is None:
-            busy = sum(r.busy_s for r in self.pool.replicas)
+            busy = sum(r.latency.total for r in self.pool.replicas)
             served = sum(r.n_samples for r in self.pool.replicas)
             if busy <= 0.0 or served < self.max_batch:
                 return None
@@ -1292,9 +1341,9 @@ class Gateway:
                 if wait is not None and wait > deadline:
                     return self._shed("deadline", tenant)
         if self.max_delay is not None:
-            # Every queue's deadline is honored on every submit (as the
-            # single-queue Batcher does) — sticky routing must not leave
-            # another replica's sub-max_batch tail waiting unboundedly.
+            # Every queue's deadline is honored on every submit — sticky
+            # routing must not leave another replica's sub-max_batch
+            # tail waiting unboundedly.
             for qidx, oldest in enumerate(self._queue_oldest):
                 if oldest is not None and now - oldest >= self.max_delay:
                     self._dispatch_queue(qidx)
@@ -1652,3 +1701,47 @@ class Gateway:
         except Exception:
             pass
         return False
+
+
+class Batcher(Gateway):
+    """A one-replica, in-process :class:`Gateway` built from an engine.
+
+    The single-engine micro-batching front-end: requests coalesce into
+    packed batches on ``max_batch`` (size trigger) or on the oldest
+    request waiting ``max_delay`` seconds (deadline trigger, checked on
+    every submit; ``None`` disables it).  A triggered batch is
+    dispatched inside :meth:`submit`; its tickets resolve and its
+    observers run at the next :meth:`flush`, :meth:`poll` or
+    :meth:`FabricTicket.result` — the gateway contract.  Queueing,
+    tickets, stats, observers, the drain-on-exit context manager and
+    :meth:`rolling_swap` (how a :class:`~repro.streaming.Promoter`
+    hot-swaps the engine) all come from :class:`Gateway`.
+
+    >>> import numpy as np
+    >>> from repro.model import TMModel
+    >>> from repro.serving import Batcher, InferenceEngine
+    >>> include = np.zeros((2, 1, 4), dtype=bool)
+    >>> include[0, 0, 0] = True                  # class-0 clause: x0
+    >>> include[1, 0, 2] = True                  # class-1 clause: NOT x0
+    >>> model = TMModel(include=include, n_features=2, weights=[[1], [1]])
+    >>> batcher = Batcher(InferenceEngine.from_model(model), max_batch=2,
+    ...                   max_delay=None)
+    >>> first = batcher.submit([1, 0])
+    >>> second = batcher.submit([0, 1])          # size trigger: dispatched
+    >>> first.done, batcher.poll(), first.done   # resolved on collection
+    (False, 2, True)
+    >>> first.result(), second.result(), batcher.stats.n_batches
+    (0, 1, 1)
+    """
+
+    def __init__(self, engine, max_batch=64, max_delay=0.002,
+                 clock=time.monotonic, observers=(), metrics=None):
+        pool = ReplicaPool(engine, n_replicas=1, mode="inline",
+                           max_batch=max_batch)
+        super().__init__(pool, max_delay=max_delay, clock=clock,
+                         observers=observers, metrics=metrics)
+
+    @property
+    def engine(self):
+        """The engine snapshot answering traffic right now."""
+        return self.pool.engine

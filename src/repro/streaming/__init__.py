@@ -5,8 +5,8 @@ deployed model fresh when the data distribution shifts.  It layers on
 the three prior subsystems: machines gained ``partial_fit`` (epoch-free
 incremental updates, bit-identical to ``fit`` over the same sample
 order), the serving registry gained ``pin``/``unpin`` so promotion can
-hold a known-good version, and the batcher drains itself as a context
-manager.
+hold a known-good version, and the serving gateway drains itself as a
+context manager and swaps engines replica by replica.
 
 Layer map::
 
@@ -20,13 +20,11 @@ Layer map::
                        served-prediction-vs-delayed-label correctness
                        stream
     Promoter           shadow-evaluates a challenger against the live
-                       champion, publishes to the Registry on win, swaps
-                       the Batcher engine between flushes (zero-downtime)
-                       and supports rollback
-    RollingPromoter    the multi-replica variant: rolls the promotion
-                       replica-by-replica through a serving fabric
-                       Gateway with per-replica drain + health check,
-                       and re-rolls the whole fleet on rollback
+                       champion, publishes to the Registry on win, and
+                       rolls it replica-by-replica through the serving
+                       Gateway (one-replica Batcher or a whole fleet)
+                       with per-replica drain + health check; rollback
+                       re-rolls the fleet to the displaced version
     StreamSession      the standing loop: serve -> detect -> adapt ->
                        promote, with a JSON-able report
     stream_benchmark   online updates/sec + detection-delay measurement
@@ -45,7 +43,7 @@ from .sources import (
 )
 from .online import OnlineTrainer
 from .drift import DriftDetector
-from .promote import Promoter, RollingPromoter
+from .promote import Promoter
 from .session import StreamSession, run_stream
 from .bench import format_stream_benchmark, stream_benchmark
 
@@ -61,7 +59,6 @@ __all__ = [
     "OnlineTrainer",
     "DriftDetector",
     "Promoter",
-    "RollingPromoter",
     "StreamSession",
     "run_stream",
     "format_stream_benchmark",

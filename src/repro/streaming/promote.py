@@ -1,28 +1,26 @@
-"""Challenger promotion: shadow-evaluate, publish, hot-swap, rollback.
+"""Challenger promotion: shadow-evaluate, publish, rolling swap, rollback.
 
 :class:`Promoter` closes the continual-learning loop against the serving
 stack.  A challenger (an online-trained machine) is frozen into an
 unpublished engine snapshot and *shadow-evaluated* against the live
 champion on the same recently-labelled traffic sample; only if it wins
 by ``margin`` is it published to the :class:`~repro.serving.Registry`
-and hot-swapped into the :class:`~repro.serving.Batcher`.
+and rolled into the serving :class:`~repro.serving.Gateway`.
 
 The swap is zero-downtime by construction: the champion's version is
 pinned in the registry for the duration of the promotion window (so
 unversioned ``engine(name)`` readers never observe the challenger
-mid-decision), the batcher is flushed (every accepted ticket resolves
-against the old engine) and only then is its engine reference replaced —
-the next submitted request is served by the new version.  No ticket is
-ever dropped or served by a half-swapped state.
+mid-decision), and the gateway's
+:meth:`~repro.serving.Gateway.rolling_swap` drains one replica at a
+time (every accepted ticket resolves against the old engine), swaps it
+and health-checks it before moving on.  No ticket is ever dropped or
+served by a half-swapped state.  One front-end serves every fleet size,
+so the same promoter drives a one-replica
+:class:`~repro.serving.Batcher` and a multi-process fleet.
 
 Rollback is the same dance in reverse: the previous version is still in
 the registry (publish never overwrites), so :meth:`rollback` pins it and
-swaps it back in.
-
-:class:`RollingPromoter` is the multi-replica variant: the same shadow
-gate, but the swap rolls replica-by-replica through a serving fabric
-(:class:`~repro.serving.Gateway`) — each replica is drained, swapped and
-health-checked in turn, and a rollback re-rolls the whole fleet back.
+rolls it back in.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 
 from ..serving.engine import snapshot_engine
 
-__all__ = ["Promoter", "RollingPromoter"]
+__all__ = ["Promoter"]
 
 
 class Promoter:
@@ -43,10 +41,12 @@ class Promoter:
         The :class:`~repro.serving.Registry` versions are published to.
     name:
         Model name under which champion and challengers are versioned.
-    batcher:
-        Optional :class:`~repro.serving.Batcher` serving live traffic;
-        promotions flush it and swap its engine in place.  Without a
-        batcher, promotion only moves the registry's latest version.
+    gateway:
+        Optional :class:`~repro.serving.Gateway` (any fleet size,
+        including a one-replica :class:`~repro.serving.Batcher`) serving
+        live traffic; promotions and rollbacks roll through it replica
+        by replica.  Without a gateway, promotion only moves the
+        registry's latest version.
     margin:
         Required shadow-accuracy edge, ``challenger >= champion +
         margin``, before a promotion goes through.
@@ -74,15 +74,38 @@ class Promoter:
     (True, 2)
     >>> promoter.rollback()["restored_version"]
     1
+
+    With a gateway, a promotion rolls the fleet replica by replica, and
+    the promotion and rollback records gain ``"roll"`` (the per-replica
+    events ``rolling_swap`` returned — the audit trail) and ``"fleet"``
+    (the pool size at roll time).  The roll covers whatever fleet an
+    :class:`~repro.serving.Autoscaler` has sized the pool to, and a
+    replica added *after* a promotion comes up on the promoted engine,
+    so the fleet never serves two versions.
+
+    >>> from repro.serving import Gateway, ReplicaPool
+    >>> registry = Registry()
+    >>> _ = registry.publish("m", champion)
+    >>> pool = ReplicaPool.from_registry(registry, "m", n_replicas=3,
+    ...                                  mode="inline")
+    >>> promoter = Promoter(registry, "m", Gateway(pool, max_batch=4))
+    >>> record = promoter.promote(challenger, X, y)
+    >>> record["promoted"], [e["replica"] for e in record["roll"]]
+    (True, [0, 1, 2])
+    >>> pool.versions()
+    [2, 2, 2]
+    >>> _ = promoter.rollback()
+    >>> pool.versions()
+    [1, 1, 1]
     """
 
-    def __init__(self, registry, name, batcher=None, margin=0.0,
+    def __init__(self, registry, name, gateway=None, margin=0.0,
                  sample_fraction=1.0, seed=0):
         if not 0.0 < sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
         self.registry = registry
         self.name = name
-        self.batcher = batcher
+        self.gateway = gateway
         self.margin = float(margin)
         self.sample_fraction = float(sample_fraction)
         self._rng = np.random.default_rng(seed)
@@ -92,8 +115,8 @@ class Promoter:
     # ------------------------------------------------------------------
     def live_engine(self):
         """The engine answering traffic right now."""
-        if self.batcher is not None:
-            return self.batcher.engine
+        if self.gateway is not None:
+            return self.gateway.pool.engine
         return self.registry.engine(self.name)
 
     def _sampled(self, X, y):
@@ -109,7 +132,7 @@ class Promoter:
 
         ``challenger`` may be a machine (snapshot taken here) or an
         already-frozen engine.  Returns the comparison dict; no registry
-        or batcher state changes.
+        or gateway state changes.
         """
         engine = challenger if hasattr(challenger, "predict_with_sums") \
             else snapshot_engine(challenger, name=self.name, version=0)
@@ -124,13 +147,23 @@ class Promoter:
 
     # ------------------------------------------------------------------
     def promote(self, challenger, X, y):
-        """Shadow-evaluate and, on a win, publish + hot-swap.
+        """Shadow-evaluate and, on a win, publish + roll the gateway.
 
         Returns the decision record (also appended to :attr:`history`)
-        with ``promoted`` True/False and the shadow accuracies.  During
-        the decision the champion's version is pinned so concurrent
-        unversioned registry readers stay on the known-good version
-        until the swap is complete.
+        with ``promoted`` True/False and the shadow accuracies; with a
+        gateway, a winning record also carries ``"roll"`` and
+        ``"fleet"``.  During the decision the champion's version is
+        pinned so concurrent unversioned registry readers stay on the
+        known-good version until the swap is complete.
+
+        A roll that fails mid-fleet re-raises — as
+        :class:`~repro.serving.ReplicaError` for a replica death, or as
+        whatever a propagating observer threw (e.g. a differential
+        mismatch during the drain) — after ``rolling_swap`` has restored
+        the already-promoted replicas.  The champion, which the gateway
+        still serves, then stays pinned, so unversioned readers never
+        resolve to the published-but-refused challenger version (which
+        stays queryable as the audit trail).
         """
         champion = self.live_engine()
         pinned = (self.name in self.registry
@@ -138,7 +171,7 @@ class Promoter:
         prior_pin = self.registry.pinned_version(self.name) if pinned else None
         if pinned:
             self.registry.pin(self.name, champion.version)
-        wins = False
+        wins = swapped = False
         try:
             report = self.shadow_evaluate(challenger, X, y)
             wins = (report["challenger_accuracy"]
@@ -146,15 +179,21 @@ class Promoter:
             record = dict(report, action="promote", promoted=bool(wins))
             if wins:
                 engine = self.registry.publish(self.name, challenger)
-                self._swap(engine)
-                self.previous_version = champion.version
                 record["new_version"] = engine.version
+                self._swap(engine, record)
+                swapped = True
+                self.previous_version = champion.version
         finally:
             if pinned:
-                if wins:
+                if swapped:
                     # The new latest serves; any earlier rollback pin is
                     # superseded by this promotion.
                     self.registry.unpin(self.name)
+                elif wins:
+                    # The roll failed after the publish: the champion
+                    # still serves, so its pin stays over the refused
+                    # latest.
+                    pass
                 elif prior_pin is not None:
                     # Rejection must not destroy a pre-existing pin
                     # (e.g. the known-good pin a rollback installed).
@@ -169,149 +208,28 @@ class Promoter:
 
         The bad latest version stays in the registry (audit trail), so
         the reinstated version is pinned — unversioned readers resolve
-        to it, not to the retracted latest — and hot-swapped into the
-        batcher.  Returns the rollback record.
+        to it, not to the retracted latest — and rolled back into the
+        gateway (the fleet *as currently sized*, including replicas an
+        autoscaler added since the promotion).  Returns the rollback
+        record.
         """
         if self.previous_version is None:
             raise RuntimeError("no promotion to roll back")
         version = self.previous_version
         engine = self.registry.engine(self.name, version)
-        retracted = self.live_engine().version
-        self.registry.pin(self.name, version)
-        self._swap(engine)
-        self.previous_version = None
         record = {
             "action": "rollback",
             "restored_version": version,
-            "retracted_version": retracted,
+            "retracted_version": self.live_engine().version,
         }
+        self.registry.pin(self.name, version)
+        self._swap(engine, record)
+        self.previous_version = None
         self.history.append(record)
         return record
 
-    def _swap(self, engine):
-        """Atomically (between flushes) repoint live traffic."""
-        if self.batcher is not None:
-            self.batcher.flush()  # pending tickets resolve on the old engine
-            self.batcher.engine = engine
-
-
-class RollingPromoter(Promoter):
-    """Shadow-gate promotions rolled replica-by-replica across a fabric.
-
-    The decision logic is inherited from :class:`Promoter` unchanged —
-    shadow-evaluate on sampled labelled traffic, publish on a win, pin
-    the champion during the window — but the swap is the fabric's
-    :meth:`~repro.serving.fabric.Gateway.rolling_swap`: one replica at a
-    time is drained (its queued tickets resolve on the old snapshot),
-    swapped, and health-checked, so the fleet promotes with zero dropped
-    requests and at most one replica in transition.  :meth:`rollback`
-    re-rolls every replica back to the displaced version and pins it.
-
-    Promotion and rollback records gain a ``"roll"`` key — the
-    per-replica event list returned by ``rolling_swap`` (the audit trail
-    the e2e test asserts covers the whole fleet) — and a ``"fleet"``
-    key, the pool size at roll time.  The roll covers whatever fleet an
-    :class:`~repro.serving.Autoscaler` has sized the pool to, and a
-    replica added *after* a promotion comes up on the pool's current
-    (promoted) engine, so autoscaling and rolling promotion compose:
-    the fleet never serves two versions.
-
-    Parameters
-    ----------
-    registry, name:
-        As :class:`Promoter`.
-    gateway:
-        The :class:`~repro.serving.Gateway` fronting the replica fleet.
-    margin, sample_fraction, seed:
-        As :class:`Promoter`.
-
-    >>> import numpy as np
-    >>> from repro.model import TMModel
-    >>> from repro.serving import Gateway, Registry, ReplicaPool
-    >>> from repro.streaming import RollingPromoter
-    >>> inc = np.zeros((2, 1, 4), dtype=bool)
-    >>> inc[0, 0, 0] = True; inc[1, 0, 2] = True
-    >>> champion = TMModel(include=inc, n_features=2, weights=[[1], [1]])
-    >>> challenger = TMModel(include=inc[::-1].copy(), n_features=2,
-    ...                      weights=[[1], [1]])
-    >>> registry = Registry()
-    >>> _ = registry.publish("m", champion)
-    >>> pool = ReplicaPool.from_registry(registry, "m", n_replicas=3,
-    ...                                  mode="inline")
-    >>> gateway = Gateway(pool, max_batch=4)
-    >>> promoter = RollingPromoter(registry, "m", gateway)
-    >>> X = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-    >>> record = promoter.promote(challenger, X, np.array([1, 0]))
-    >>> record["promoted"], [e["replica"] for e in record["roll"]]
-    (True, [0, 1, 2])
-    >>> pool.versions()
-    [2, 2, 2]
-    >>> _ = promoter.rollback()
-    >>> pool.versions()
-    [1, 1, 1]
-    """
-
-    def __init__(self, registry, name, gateway, margin=0.0,
-                 sample_fraction=1.0, seed=0):
-        super().__init__(registry, name, batcher=None, margin=margin,
-                         sample_fraction=sample_fraction, seed=seed)
-        self.gateway = gateway
-        self._last_roll = None
-
-    def live_engine(self):
-        """The snapshot the fleet serves right now."""
-        return self.gateway.pool.engine
-
-    def _swap(self, engine):
-        """Roll the fleet to ``engine`` (delegates to the gateway)."""
-        self._last_roll = self.gateway.rolling_swap(engine)
-
-    def promote(self, challenger, X, y):
-        """Shadow-evaluate; on a win, roll the fleet replica-by-replica.
-
-        See :meth:`Promoter.promote`; a winning record additionally
-        carries ``"roll"``, the per-replica promotion events.
-
-        A roll that fails mid-fleet re-raises — as
-        :class:`~repro.serving.ReplicaError` for a replica death, or as
-        whatever a propagating observer threw (e.g. a differential
-        mismatch during the drain) — after ``rolling_swap`` has restored
-        the already-promoted replicas.  In every abort path the version
-        the fleet actually serves is re-pinned in the registry, so
-        unversioned readers never resolve to the published-but-refused
-        challenger version (which stays queryable as the audit trail).
-        """
-        self._last_roll = None
-        try:
-            record = super().promote(challenger, X, y)
-        except Exception:
-            # The shadow gate may have won and published the challenger
-            # before the roll failed; the base promote's finally-block
-            # unpinned on the win, so the registry's latest-wins
-            # resolution would now point at the refused version while
-            # the fleet serves the restored one.  Re-pin whatever the
-            # fleet actually serves whenever the two disagree.
-            if self.name in self.registry:
-                served = self.live_engine().version
-                if (served in self.registry.versions(self.name)
-                        and self.registry.engine(self.name).version
-                        != served):
-                    self.registry.pin(self.name, served)
-            raise
-        if record.get("promoted") and self._last_roll is not None:
-            record["roll"] = self._last_roll
+    def _swap(self, engine, record):
+        """Roll live traffic onto ``engine``; audit the roll in ``record``."""
+        if self.gateway is not None:
+            record["roll"] = self.gateway.rolling_swap(engine)
             record["fleet"] = len(self.gateway.pool.replicas)
-        return record
-
-    def rollback(self):
-        """Re-roll every replica to the displaced version and pin it.
-
-        The roll covers the fleet *as currently sized* — replicas added
-        by an autoscaler since the promotion are rolled back too.
-        """
-        self._last_roll = None
-        record = super().rollback()
-        if self._last_roll is not None:
-            record["roll"] = self._last_roll
-            record["fleet"] = len(self.gateway.pool.replicas)
-        return record

@@ -5,7 +5,8 @@ stream:
 
 1. **Warmup** — the first ``warmup`` samples train the initial champion
    (via ``partial_fit``), which is published to the registry as v1 and
-   served through a :class:`~repro.serving.Batcher`.
+   served through a :class:`~repro.serving.Batcher` (a one-replica
+   :class:`~repro.serving.Gateway`).
 2. **Serve** — every subsequent sample is submitted to the batcher as a
    single request; each stream batch is flushed so every ticket
    resolves (the session counts unresolved/failed tickets — the
@@ -25,8 +26,8 @@ stream:
    champion and challenger are both scored out-of-sample — an honest
    comparison).  On a win it is hot-swapped via the
    :class:`~repro.streaming.Promoter` (champion pinned during the
-   window, batcher flushed, no dropped requests).  :meth:`rollback`
-   reverses the last promotion.
+   window, batcher drained before the swap, no dropped requests).
+   :meth:`rollback` reverses the last promotion.
 
 The loop is synchronous and deterministic (no wall-clock deadline in the
 batcher, seeded streams), so the e2e test can assert exact versions and
@@ -39,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import get_registry
-from ..serving.batcher import Batcher
+from ..serving.fabric import Batcher
 from ..serving.registry import Registry
 from .drift import DriftDetector
 from .promote import Promoter
@@ -188,11 +189,11 @@ class StreamSession:
                                max_delay=None, metrics=self.metrics)
         self._m_live_version.set(engine.version)
         self.promoter = Promoter(self.registry, self.name,
-                                 batcher=self.batcher,
+                                 gateway=self.batcher,
                                  margin=self.promote_margin)
 
     def _serve(self, batch):
-        tickets = [self.batcher.submit(x) for x in batch.X]
+        tickets = self.batcher.submit_many(batch.X)
         self.batcher.flush()
         self._requests += len(tickets)
         predictions = np.empty(len(tickets), dtype=np.int64)

@@ -25,7 +25,7 @@ same rung tables, eliminations, and winner.
 winner is packaged through the existing :class:`~repro.serving.Registry`
 path (the rung-0 baseline of the same config is published as the
 champion), a :class:`~repro.serving.Gateway` fleet serves warm-up
-traffic, and a :class:`~repro.streaming.RollingPromoter` shadow-gates
+traffic, and a :class:`~repro.streaming.Promoter` shadow-gates
 and rolls the winner replica-by-replica — zero dropped requests, with
 the per-replica roll events embedded in the audit report.
 """
@@ -571,7 +571,7 @@ def deploy_winner(
     :class:`~repro.serving.ReplicaPool` + `Gateway` serve warm-up
     traffic on it, and the fully trained winner is then shadow-gated
     and rolled replica-by-replica through a
-    :class:`~repro.streaming.RollingPromoter` — the zero-downtime,
+    :class:`~repro.streaming.Promoter` — the zero-downtime,
     zero-drop promotion path the nightly CI job asserts end to end.
 
     Returns the deterministic deploy record (versions, roll events,
@@ -579,7 +579,7 @@ def deploy_winner(
     :mod:`repro.flow.cli` embeds in the audit report as ``"deploy"``.
     """
     from ..serving import Gateway, Registry, ReplicaPool
-    from ..streaming import RollingPromoter
+    from ..streaming import Promoter
 
     if result.winner is None:
         raise ValueError("no winner to deploy (every candidate errored)")
@@ -607,7 +607,7 @@ def deploy_winner(
             X_warm = ds.X_test[np.arange(n_warm) % len(ds.X_test)]
             gateway.submit_many(X_warm)
             gateway.flush()
-        promoter = RollingPromoter(registry, name, gateway, margin=margin)
+        promoter = Promoter(registry, name, gateway, margin=margin)
         record = promoter.promote(challenger, ds.X_test, ds.y_test)
         n_post = max(1, int(requests))
         X_post = ds.X_test[np.arange(n_post) % len(ds.X_test)]

@@ -26,7 +26,7 @@ from repro.serving import (
     fabric_benchmark,
     format_fabric_benchmark,
 )
-from repro.streaming import RollingPromoter
+from repro.streaming import Promoter
 
 
 def _engine(seed=0, version=1, **kwargs):
@@ -160,10 +160,17 @@ class TestGateway:
         with pytest.raises(ValueError):
             gateway.submit_many(_traffic(engine, 2), keys=[1])
 
+    def test_negative_max_delay_rejected(self):
+        engine = _engine()
+        with pytest.raises(ValueError, match="max_delay"):
+            Gateway(ReplicaPool(engine, 2, mode="inline"), max_delay=-0.5)
+        assert Gateway(ReplicaPool(engine, 1, mode="inline"),
+                       max_delay=0.0).max_delay == 0.0
+
     def test_deadline_dispatches_every_queue_not_just_the_routed_one(self):
         # Sticky routing must not let another replica's sub-max_batch
         # tail wait past the deadline: every queue's oldest request is
-        # checked on every submit, like the single-queue Batcher.
+        # checked on every submit, not just the routed one.
         engine = _engine()
         clock = iter([0.0, 0.5, 0.5]).__next__
         gateway = Gateway(ReplicaPool(engine, 2, mode="inline"),
@@ -481,7 +488,7 @@ class TestRollingPromotionE2E:
         pool = ReplicaPool.from_registry(registry, "fleet",
                                          n_replicas=n_replicas, mode="inline")
         gateway = Gateway(pool, max_batch=4)
-        promoter = RollingPromoter(registry, "fleet", gateway)
+        promoter = Promoter(registry, "fleet", gateway)
         return champion, challenger, registry, pool, gateway, promoter
 
     def test_v1_to_v2_across_all_replicas_with_zero_drops(self):
@@ -724,7 +731,7 @@ class TestMetricAndExitRegressions:
                                          mode="inline")
         gateway = Gateway(pool, max_batch=4)
         gateway.add_replica()                   # autoscaled mid-flight
-        promoter = RollingPromoter(registry, "fleet", gateway)
+        promoter = Promoter(registry, "fleet", gateway)
         X = _traffic(pool.engine, 20)
         record = promoter.promote(challenger, X, challenger.predict(X))
         assert record["promoted"] is True

@@ -478,6 +478,35 @@ class TestObsCli:
         assert len(roots) == 12
         assert {s["attrs"]["tenant"] for s in roots} == {"acme", "globex"}
 
+    def test_serve_single_replica_honours_tenants_klass_and_traces(
+            self, tmp_path):
+        # One replica takes the same gateway path as a fleet, so the
+        # QoS/observability flags are not dropped.
+        metrics_path = tmp_path / "metrics.json"
+        traces_path = tmp_path / "spans.jsonl"
+        code, text = self.run_cli([
+            "serve", "--dataset", "mnist", "--clauses", "4", "--epochs",
+            "1", "--train", "80", "--test", "40", "--no-check",
+            "--requests", "10", "--replicas", "1", "--replica-mode",
+            "inline", "--max-batch", "4", "--tenants", "a,b",
+            "--klass", "gold", "--metrics-json", str(metrics_path),
+            "--trace-jsonl", str(traces_path),
+        ])
+        assert code == 0
+        assert "ignored" not in text
+        assert "1-replica gateway" in text
+        snap = json.loads(metrics_path.read_text())["metrics"]
+        series = {
+            (s["labels"]["tenant"], s["labels"]["klass"]): s["value"]
+            for s in snap["fabric_requests_total"]["series"]
+        }
+        assert series == {("a", "gold"): 5, ("b", "gold"): 5}
+        spans = [json.loads(line)
+                 for line in traces_path.read_text().strip().split("\n")]
+        roots = [s for s in spans if s["name"] == "gateway.request"]
+        assert len(roots) == 10
+        assert {s["attrs"]["tenant"] for s in roots} == {"a", "b"}
+
     def test_registry_scoping_restores_previous(self, tmp_path):
         # _metrics_capture must restore the prior registry even after a
         # run that wrote a snapshot.

@@ -1,5 +1,11 @@
 """Tests for bandwidth-driven packetization (Fig. 4a) and cube factoring."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,3 +166,33 @@ def test_factoring_preserves_conjunctions(cubes):
     assert len(res.cubes) == len(cubes)
     for original, factored in zip(cubes, res.cubes):
         assert expand(factored, res.steps) == set(original)
+
+
+_NETLIST_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from _fixtures import random_model
+from repro.accelerator import AcceleratorConfig, generate_accelerator
+model = random_model(n_classes=4, n_clauses=32, n_features=40,
+                     density=0.15, seed=5)
+design = generate_accelerator(model, AcceleratorConfig(name="hashseed"))
+print(json.dumps([[n.kind, list(n.fanins)] for n in design.netlist.nodes]))
+"""
+
+
+def test_netlist_independent_of_hash_seed():
+    """Factoring walks sets of ("f", n) tuples; the generated netlist
+    must not depend on their per-process hash order."""
+    tests_dir = Path(__file__).parent
+    src_dir = tests_dir.parent / "src"
+    netlists = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src_dir), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _NETLIST_SCRIPT, str(tests_dir)],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        netlists.append(json.loads(proc.stdout))
+    assert len(netlists[0]) > 1000
+    assert netlists[0] == netlists[1]

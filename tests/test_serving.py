@@ -11,6 +11,7 @@ from repro.serving import (
     ConvolutionalInferenceEngine,
     DifferentialChecker,
     DifferentialMismatch,
+    FabricTicket,
     InferenceEngine,
     ModelNotFound,
     Registry,
@@ -58,9 +59,8 @@ class TestInferenceEngine:
         eng = InferenceEngine.from_model(model)
         x = np.zeros(model.n_features, dtype=np.uint8)
         assert eng.predict(x).shape == (1,)
-        eng.predict((np.zeros((3, model.n_features), dtype=np.uint8)))
-        assert eng.requests_served == 2
-        assert eng.samples_served == 4
+        assert eng.predict(
+            np.zeros((3, model.n_features), dtype=np.uint8)).shape == (3,)
 
     def test_snapshot_isolated_from_training(self):
         X, y = _data()
@@ -130,6 +130,9 @@ class FakeClock:
 
 
 class TestBatcher:
+    """The one-replica inline Gateway: batches are dispatched inside
+    submit() and resolve (observers included) at flush/poll/result."""
+
     def _engine(self, seed=0):
         return InferenceEngine.from_model(random_model(seed=seed))
 
@@ -139,12 +142,15 @@ class TestBatcher:
         xs = (np.random.default_rng(0).random((7, eng.n_features)) < 0.5
               ).astype(np.uint8)
         tickets = [b.submit(x) for x in xs]
+        assert not any(t.done for t in tickets)
+        assert b.pending == 7           # 4 dispatched + 3 queued
+        assert b.poll() == 4            # the size-triggered batch
         assert [t.done for t in tickets] == [True] * 4 + [False] * 3
-        assert b.pending == 3
         assert b.flush() == 3
         assert all(t.done for t in tickets)
-        assert b.stats.size_flushes == 1
-        assert b.stats.forced_flushes == 1
+        assert isinstance(tickets[0], FabricTicket)
+        assert {(t.replica, t.version) for t in tickets} == {(0, eng.version)}
+        assert b.stats.n_batches == 2
 
     def test_results_match_direct_predict(self):
         eng = self._engine(seed=2)
@@ -167,12 +173,13 @@ class TestBatcher:
         t1 = b.submit(x)
         clock.t = 0.005
         t2 = b.submit(x)
-        assert not t1.done and b.pending == 2
+        assert b.poll() == 0 and b.pending == 2
         clock.t = 0.011  # oldest (t1) has now waited >= 10ms
         t3 = b.submit(x)
-        assert t1.done and t2.done  # flushed before t3 was queued
+        assert b.poll() == 2             # dispatched before t3 was queued
+        assert t1.done and t2.done
         assert not t3.done and b.pending == 1
-        assert b.stats.deadline_flushes == 1
+        assert b.stats.n_batches == 1
 
     def test_result_forces_flush(self):
         eng = self._engine()
@@ -191,6 +198,8 @@ class TestBatcher:
               ).astype(np.uint8)
         for x in xs:
             b.submit(x)
+        assert seen == []               # observers run on collection
+        b.poll()
         assert len(seen) == 2
         X0, sums0, preds0 = seen[0]
         assert X0.shape == (2, eng.n_features)
@@ -198,9 +207,8 @@ class TestBatcher:
         assert np.array_equal(preds0, np.argmax(sums0, axis=1))
 
     def test_observer_exception_does_not_drop_the_batch(self):
-        # Regression: a crashing metrics hook used to propagate out of
-        # flush(), so a size-triggered submit() could blow up after the
-        # engine had already served the batch.  Errors are now isolated.
+        # A crashing metrics hook must not propagate out of the serving
+        # path or drop the batch it was watching.
         eng = self._engine()
         after = []
 
@@ -211,7 +219,8 @@ class TestBatcher:
                     observers=[bad_hook, lambda X, s, p: after.append(len(X))])
         xs = (np.random.default_rng(5).random((4, eng.n_features)) < 0.5
               ).astype(np.uint8)
-        tickets = [b.submit(x) for x in xs]   # size flushes do not raise
+        tickets = [b.submit(x) for x in xs]
+        b.flush()                             # collection does not raise
         assert all(t.done and t.prediction is not None for t in tickets)
         assert after == [2, 2]                # later observers still ran
         assert b.stats.observer_errors == 2
@@ -233,13 +242,14 @@ class TestBatcher:
                     observers=[diverged, lambda X, s, p: others.append(1)])
         x = np.zeros(eng.n_features, dtype=np.uint8)
         t1 = b.submit(x)
+        t2 = b.submit(x)                      # size trigger: dispatched
         with pytest.raises(AssertionError, match="hw != sw"):
-            b.submit(x)
-        assert t1.done and others == [1]
+            b.flush()
+        assert t1.done and t2.done and others == [1]
         assert b.stats.observer_errors == 0   # opted-in errors not swallowed
 
     def test_second_propagating_observer_error_is_recorded(self):
-        # Only one exception can surface from a flush; a second
+        # Only one exception can surface from a collection; a second
         # propagating failure on the same batch must leave a trace.
         eng = self._engine()
 
@@ -253,8 +263,9 @@ class TestBatcher:
         diverged_b.propagate_errors = True
         b = Batcher(eng, max_batch=1, max_delay=None,
                     observers=[diverged_a, diverged_b])
+        b.submit(np.zeros(eng.n_features, dtype=np.uint8))
         with pytest.raises(AssertionError, match="checker A"):
-            b.submit(np.zeros(eng.n_features, dtype=np.uint8))
+            b.flush()
         assert b.stats.observer_errors == 1
         assert b.observer_errors[0] == ("diverged_b",
                                         repr(AssertionError("checker B")))
@@ -266,6 +277,8 @@ class TestBatcher:
             b.submit(np.zeros((2, eng.n_features), dtype=np.uint8))
         with pytest.raises(ValueError, match="features"):
             b.submit(np.zeros(eng.n_features + 1, dtype=np.uint8))
+        with pytest.raises(ValueError, match="max_delay"):
+            Batcher(eng, max_delay=-0.001)
 
     def test_flush_on_empty_queue(self):
         b = Batcher(self._engine())
@@ -273,7 +286,7 @@ class TestBatcher:
         assert b.stats.n_batches == 0
 
     def test_context_manager_drains_pending_on_exit(self):
-        # Flush-on-shutdown: a with-block leaves no unresolved Ticket.
+        # Flush-on-shutdown: a with-block leaves no unresolved ticket.
         eng = self._engine()
         with Batcher(eng, max_batch=100, max_delay=None) as b:
             tickets = [b.submit(np.zeros(eng.n_features, dtype=np.uint8))
@@ -281,7 +294,7 @@ class TestBatcher:
             assert b.pending == 5
         assert b.pending == 0
         assert all(t.done and t.prediction is not None for t in tickets)
-        assert b.stats.forced_flushes == 1
+        assert b.stats.n_batches == 1
 
     def test_context_manager_drains_even_when_body_raises(self):
         eng = self._engine()
@@ -303,7 +316,9 @@ class TestBatcher:
         assert d["requests"] == 5
         assert d["batches"] == 3
         assert d["samples"] == 5
-        assert d["mean_batch_size"] == pytest.approx(5 / 3, abs=1e-3)
+        assert d["observer_errors"] == 0
+        assert d["shed"] == 0
+        assert d["latency"]["count"] == 5
 
 
 # ----------------------------------------------------------------------
