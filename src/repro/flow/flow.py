@@ -21,6 +21,7 @@ from ..accelerator.generator import generate_accelerator
 from ..data.loaders import load_dataset
 from ..model.importer import import_model
 from ..model.sparsity import analyze_sharing, analyze_sparsity
+from ..obs import get_registry
 from ..synthesis.power import PowerReport
 from ..synthesis.report import implement_design
 from ..synthesis.resources import ResourceReport
@@ -158,6 +159,8 @@ class MatadorFlow:
 
     def _log(self, stage, seconds):
         self.result.stage_seconds[stage] = seconds
+        get_registry().histogram("flow_stage_seconds",
+                                 stage=stage).record(seconds)
         if self._progress is not None:
             self._progress(stage, seconds)
 

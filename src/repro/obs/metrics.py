@@ -6,7 +6,9 @@ composed.  This module is the shared vocabulary:
 a :class:`MetricsRegistry` holds named instruments with label sets
 (``requests_total{tenant="a"}``), and the instrumented layers
 (:mod:`repro.serving`, :mod:`repro.streaming`, :mod:`repro.sweep`,
-training backends) all write into one process-local registry.
+training backends, and the flow's per-stage
+``flow_stage_seconds{stage}`` histogram) all write into one
+process-local registry.
 
 Three instrument kinds, Prometheus-style:
 

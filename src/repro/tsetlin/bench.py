@@ -14,7 +14,9 @@ Two regimes are measured on an MNIST-scale synthetic task (10 classes,
   long training run or an online-learning deployment spends nearly all
   its time in), where the reference backend still rematerializes the
   full include matrix per sample while the vectorized backend's packed
-  planes and incremental output caches make most updates nearly free.
+  planes and incremental output caches make most updates nearly free
+  (an include change only versions the touched clause rows; a sample's
+  stale rows repair lazily on its next visit).
 
 The steady window is deliberately long (``steady_epochs``): the
 vectorized backend's per-(class, sample) output cache warms up over the

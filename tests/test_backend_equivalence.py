@@ -56,6 +56,43 @@ class TestFlatEquivalence:
         ]
         assert np.array_equal(trained[0].team.state, trained[1].team.state)
 
+    def test_lazy_cache_repair_across_fits(self):
+        # Include changes only version and log the touched rows; every
+        # stale cached output repairs on its sample's next visit.  Walk
+        # the paths that lean on that: a warm start from a converged
+        # state, a back-to-back fit that keeps the cache, and a
+        # partial_fit on another slice that rebuilds it.
+        X, y = _dataset()
+        warm = TsetlinMachine(3, 32, n_clauses=10, T=6, s=3.5, seed=5,
+                              backend="vectorized")
+        warm.fit(X, y, epochs=10, track_metrics=False)
+        machines = {}
+        for backend in ("reference", "vectorized"):
+            tm = TsetlinMachine(3, 32, n_clauses=10, T=6, s=3.5, seed=9,
+                                backend=backend)
+            tm.team.state[:] = warm.team.state
+            tm.backend.sync()
+            machines[backend] = tm
+        ref, vec = machines["reference"], machines["vectorized"]
+
+        def step(train):
+            for tm in (ref, vec):
+                train(tm)
+            assert np.array_equal(ref.team.state, vec.team.state)
+            assert np.array_equal(ref.includes(), vec.includes())
+            assert np.array_equal(ref.class_sums(X), vec.class_sums(X))
+
+        step(lambda tm: tm.fit(X, y, epochs=3, track_metrics=False))
+        cache = vec.backend._out_cache
+        base = list(vec.backend._base_ver)
+        step(lambda tm: tm.fit(X, y, epochs=3, track_metrics=False))
+        assert vec.backend._out_cache is cache
+        # A class logged more than 4 * _LOG_WALK_MAX events in that fit,
+        # so its log reset and the full-bank refresh ran beside replay.
+        assert vec.backend._base_ver != base
+        step(lambda tm: tm.partial_fit(X[35:5:-1], y[35:5:-1]))
+        assert vec.backend._out_cache is not cache
+
     def test_training_log_matches(self):
         X, y = _dataset()
         logs = []

@@ -10,6 +10,7 @@ from repro.accelerator import AcceleratorConfig, generate_accelerator
 from repro.flow import FlowConfig, MatadorFlow, verify_design
 from repro.flow.cli import main
 from repro.flow.deploy import deployment_report, generate_host_driver, write_bundle
+from repro.obs import MetricsRegistry, set_registry
 from repro.synthesis import implement_design
 from _fixtures import random_model
 
@@ -52,6 +53,20 @@ class TestMatadorFlow:
         for stage in ("load_data", "train", "analyze", "generate",
                       "implement", "verify"):
             assert stage in result.stage_seconds
+
+    def test_stage_seconds_recorded_in_registry(self):
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            result = MatadorFlow(tiny_flow_config(
+                n_train=60, n_test=20, clauses_per_class=6, epochs=1,
+            )).run(verify=True)
+        finally:
+            set_registry(previous)
+        series = registry.snapshot()["metrics"]["flow_stage_seconds"]["series"]
+        counts = {s["labels"]["stage"]: s["count"] for s in series}
+        assert counts == dict.fromkeys(result.stage_seconds, 1)
+        assert len(counts) == 6
 
     def test_accuracy_reasonable(self, completed):
         _, result = completed
