@@ -22,11 +22,19 @@ across PRs.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from _harness import save_results
 from repro.accelerator import AcceleratorConfig, generate_accelerator
-from repro.serving import Batcher, DifferentialChecker, Registry, serve_benchmark
+from repro.model import TMModel
+from repro.serving import (
+    Batcher,
+    DifferentialChecker,
+    Registry,
+    snapshot_engine,
+)
 from repro.tsetlin import TsetlinMachine
 
 BATCH_SIZES = (1, 8, 64, 256)
@@ -35,6 +43,82 @@ MIN_SPEEDUP_AT_64 = 5.0
 N_CLASSES = 10
 N_FEATURES = 784
 N_CLAUSES = 128
+
+
+def _best_rate(fn, n_requests, repeats):
+    """Requests/sec, best of ``repeats`` (least-noise estimator)."""
+    best = 0.0
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        dt = time.perf_counter() - t0
+        best = max(best, n_requests / dt if dt > 0 else 0.0)
+    return best
+
+
+def serve_benchmark(model, batch_sizes=(1, 8, 64, 256), n_requests=None,
+                    repeats=3, baseline_requests=64):
+    """Measure packed-batch vs per-sample serving throughput.
+
+    Parameters
+    ----------
+    model:
+        A :class:`~repro.model.TMModel` to serve.
+    batch_sizes:
+        Batch widths to measure the packed path at.
+    n_requests:
+        Requests per timed run; defaults to enough for the largest batch.
+    repeats:
+        Timed repetitions per point (best-of).
+    baseline_requests:
+        How many single-sample ``model.predict`` calls to time for the
+        per-sample baseline.
+
+    Returns a JSON-ready dict with per-batch-size requests/sec, the
+    per-sample baseline, and ``speedup`` (packed rps / baseline rps).
+    """
+    engine = snapshot_engine(model)
+    rng = np.random.default_rng(0)
+    max_b = max(batch_sizes)
+    n_requests = n_requests or max(256, max_b * 4)
+    X = (rng.random((max(n_requests, max_b), engine.n_features)) < 0.5).astype(
+        np.uint8
+    )
+
+    # Per-sample baseline: one generic predict call per request.
+    Xb = X[:baseline_requests]
+
+    def per_sample():
+        for row in Xb:
+            model.predict(row)
+
+    baseline_rps = _best_rate(per_sample, len(Xb), repeats)
+
+    results = {}
+    for b in batch_sizes:
+        n_batches = max(1, n_requests // b)
+        served = n_batches * b
+
+        def packed():
+            for i in range(n_batches):
+                engine.predict(X[(i * b) % (len(X) - b + 1):][:b])
+
+        rps = _best_rate(packed, served, repeats)
+        results[int(b)] = {
+            "requests_per_s": round(rps, 1),
+            "batches": n_batches,
+            "speedup_vs_per_sample": round(rps / baseline_rps, 2)
+            if baseline_rps else None,
+        }
+
+    return {
+        "engine": repr(engine),
+        "n_features": engine.n_features,
+        "n_classes": engine.n_classes,
+        "n_clauses": engine.n_clauses,
+        "per_sample_baseline_rps": round(baseline_rps, 1),
+        "batch_sizes": {str(b): results[int(b)] for b in batch_sizes},
+    }
 
 
 def _served_model(seed=9):
@@ -98,3 +182,15 @@ def test_serve_throughput_and_differential():
               f"({row['speedup_vs_per_sample']:.1f}x)")
     print(f"  differential: {checker.summary()}")
     print(f"  results: {path}")
+
+
+def test_serve_benchmark_payload_shape():
+    """Harness smoke on a tiny random model: payload shape, not speed."""
+    rng = np.random.default_rng(8)
+    model = TMModel(include=rng.random((3, 6, 32)) < 0.12, n_features=16,
+                    name="serve_smoke")
+    payload = serve_benchmark(model, batch_sizes=(1, 4), n_requests=16,
+                              repeats=1, baseline_requests=8)
+    assert set(payload["batch_sizes"]) == {"1", "4"}
+    for row in payload["batch_sizes"].values():
+        assert row["requests_per_s"] > 0

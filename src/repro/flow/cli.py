@@ -12,12 +12,8 @@ flow stages as subcommands:
    matador emit --dataset mnist --clauses 20 --outdir rtl/
    matador serve --dataset kws6 --requests 512 --max-batch 64
    matador serve --dataset kws6 --replicas 4 --requests 2048
-   matador bench-serve --dataset mnist --batch-sizes 1,8,64,256
-   matador bench-fabric --dataset mnist --replicas 4 --requests 2048
-   matador bench-train --steady-epochs 40 --save train.json --profile
    matador stream --dataset kws6 --samples 2600 --drift-at 1200 \\
        --report stream.json
-   matador bench-stream --dataset kws6 --json
    matador sweep --dataset kws6 --clauses 8,16,24 --T 10,20 --jobs 4 \\
        --resume --report pareto.json
    matador automl --dataset kws6 --T 8,12,16 --s 3,4,5 --eta 3 \\
@@ -34,27 +30,20 @@ generation.  ``serve`` trains (or imports) a model, publishes it to a
 serving registry and drives micro-batched request traffic through the
 packed inference engine with differential sim-vs-software checking —
 ``--replicas N`` fans the traffic across a sharded multi-replica fabric
-(one worker process per replica) behind a routing gateway;
-``bench-serve`` measures packed-batch vs per-sample serving throughput,
-``bench-fabric`` the multi-replica vs single-replica aggregate, and
-``bench-train`` the packed-word training engine vs the reference
-backend in cold and converged steady-state regimes;
-``bench-train``/``bench-fabric`` accept ``--profile`` to drop a
-cProfile top-20 hotspot JSON next to ``--save``.
+(one worker process per replica) behind a routing gateway.
 ``stream`` runs a continual-learning session: replay a dataset as
 request traffic (optionally with induced concept drift), serve it
 micro-batched, detect drift from served predictions vs delayed labels,
-train a challenger online and hot-promote it through the registry;
-``bench-stream`` measures online ``partial_fit`` updates/sec per backend
-plus drift-detection delay.  ``sweep`` fans a design-space grid across a
-process pool with a content-addressed result cache (``--resume``
-recovers crashed or repeated sweeps instantly) and emits
-Pareto-annotated JSON/CSV reports.  ``automl`` replaces the exhaustive
-grid with a successive-halving budget allocator: every candidate trains
-a few epochs, each rung keeps the Pareto-best ``1/eta`` fraction with an
-``eta``-multiplied budget, rung records resume bit-identically from the
-same cache, and ``--deploy`` ships the winner to a live replica fleet
-through the rolling promoter, emitting the full audit report.
+train a challenger online and hot-promote it through the registry.
+``sweep`` fans a design-space grid across a process pool with a
+content-addressed result cache (``--resume`` recovers crashed or
+repeated sweeps instantly) and emits Pareto-annotated JSON/CSV reports.
+``automl`` replaces the exhaustive grid with a successive-halving
+budget allocator: every candidate trains a few epochs, each rung keeps
+the Pareto-best ``1/eta`` fraction with an ``eta``-multiplied budget,
+rung records resume bit-identically from the same cache, and
+``--deploy`` ships the winner to a live replica fleet through the
+rolling promoter, emitting the full audit report.
 ``matrix`` runs one config grid across many registered datasets
 (``--dataset all`` expands to the whole registry) and emits a
 deterministic cross-dataset accuracy/latency/LUT Pareto report as JSON
@@ -63,9 +52,9 @@ and markdown; ``datasets`` introspects the typed registry the matrix
 configs (``--config flow.json``) reproduce runs exactly; the same CLI is
 installed as both ``matador`` and ``repro`` (``python -m repro``).
 
-Observability rides along everywhere: ``serve``, ``bench-fabric`` and
-``automl`` accept ``--metrics-json PATH`` to scope the process metrics
-registry (:mod:`repro.obs`) to the run and write its merged snapshot —
+Observability rides along everywhere: ``serve`` and ``automl`` accept
+``--metrics-json PATH`` to scope the process metrics registry
+(:mod:`repro.obs`) to the run and write its merged snapshot —
 for a process-replica fabric that includes the worker-side engine
 timings — and ``serve --trace-jsonl PATH`` records finished request
 spans.  ``obs`` merges and renders those artifacts offline
@@ -162,131 +151,12 @@ def build_parser():
     serve.add_argument("--json", action="store_true",
                        help="print machine-readable serving stats")
 
-    bench = sub.add_parser(
-        "bench-serve", help="measure packed vs per-sample serving throughput"
-    )
-    _add_flow_args(bench)
-    bench.add_argument("--batch-sizes", default="1,8,64,256",
-                       help="comma-separated batch widths to measure")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed repetitions per point (best-of)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the benchmark payload as JSON")
-    bench.add_argument("--save", default=None,
-                       help="also write the JSON payload to this path")
-
-    bench_fabric = sub.add_parser(
-        "bench-fabric",
-        help="measure multi-replica fabric vs single-replica throughput",
-    )
-    _add_flow_args(bench_fabric)
-    bench_fabric.add_argument("--replicas", type=int, default=4,
-                              help="fabric width for the multi-replica run")
-    bench_fabric.add_argument("--requests", type=int, default=2048,
-                              help="requests per timed run")
-    bench_fabric.add_argument("--max-batch", type=int, default=64,
-                              help="per-replica dispatch size trigger")
-    bench_fabric.add_argument("--repeats", type=int, default=2,
-                              help="timed repetitions per point (best-of)")
-    bench_fabric.add_argument("--replica-mode", default="process",
-                              choices=("process", "inline"))
-    bench_fabric.add_argument("--json", action="store_true",
-                              help="print the benchmark payload as JSON")
-    bench_fabric.add_argument("--save", default=None,
-                              help="also write the JSON payload to this path")
-    bench_fabric.add_argument("--profile", action="store_true",
-                              help="run under cProfile and write the top-20 "
-                                   "hotspots as JSON next to --save")
-    bench_fabric.add_argument("--traffic-sim", action="store_true",
-                              help="run the seeded virtual-time overload "
-                                   "simulator (Poisson arrivals, burst, "
-                                   "hot keys) instead of the throughput "
-                                   "benchmark; emits the overload report")
-    bench_fabric.add_argument("--duration", type=float, default=3.0,
-                              help="traffic-sim: virtual seconds of arrivals")
-    bench_fabric.add_argument("--rate", type=float, default=1200.0,
-                              help="traffic-sim: Poisson arrival rate (req/s)")
-    bench_fabric.add_argument("--burst-x", type=float, default=4.0,
-                              help="traffic-sim: burst rate multiplier")
-    bench_fabric.add_argument("--burst-at", type=float, default=0.4,
-                              help="traffic-sim: burst start (fraction)")
-    bench_fabric.add_argument("--burst-len", type=float, default=0.25,
-                              help="traffic-sim: burst length (fraction)")
-    bench_fabric.add_argument("--hot-key-fraction", type=float, default=0.2,
-                              help="traffic-sim: share of traffic on the "
-                                   "hot keys")
-    bench_fabric.add_argument("--service-rate", type=float, default=800.0,
-                              help="traffic-sim: modelled per-replica "
-                                   "service rate (samples/s)")
-    bench_fabric.add_argument("--deadline-ms", type=float, default=100.0,
-                              help="traffic-sim: latency SLO deadline")
-    bench_fabric.add_argument("--max-queue", type=int, default=512,
-                              help="traffic-sim: gateway queue bound")
-    bench_fabric.add_argument("--admit-rate", type=float, default=None,
-                              help="traffic-sim: per-tenant admission "
-                                   "rate limit (requests/s)")
-    bench_fabric.add_argument("--admit-burst", type=float, default=None,
-                              help="traffic-sim: per-tenant burst tokens")
-    bench_fabric.add_argument("--quota", type=int, default=None,
-                              help="traffic-sim: per-tenant lifetime quota")
-    bench_fabric.add_argument("--autoscale-max", type=int, default=0,
-                              help="traffic-sim: autoscale up to this many "
-                                   "replicas (0 = autoscaling off)")
-    bench_fabric.add_argument("--sim-seed", type=int, default=0,
-                              help="traffic-sim: arrival/key/payload seed")
-    bench_fabric.add_argument("--metrics-json", default=None,
-                              dest="metrics_json",
-                              help="write the run's metrics snapshot to "
-                                   "this path")
-
-    bench_train = sub.add_parser(
-        "bench-train",
-        help="measure packed-word vs reference training throughput",
-    )
-    bench_train.add_argument("--cold-epochs", type=int, default=3,
-                             help="epochs in the from-scratch regime")
-    bench_train.add_argument("--steady-epochs", type=int, default=40,
-                             help="epochs in the converged steady regime")
-    bench_train.add_argument("--repeats", type=int, default=3,
-                             help="vectorized repetitions per regime (best-of)")
-    bench_train.add_argument("--seed", type=int, default=1)
-    bench_train.add_argument("--noise", type=float, default=0.02,
-                             help="label-noise rate of the synthetic task")
-    bench_train.add_argument("--json", action="store_true",
-                             help="print the benchmark payload as JSON")
-    bench_train.add_argument("--save", default=None,
-                             help="also write the JSON payload to this path")
-    bench_train.add_argument("--profile", action="store_true",
-                             help="run under cProfile and write the top-20 "
-                                  "hotspots as JSON next to --save")
-
     stream = sub.add_parser(
         "stream",
         help="continual-learning session: serve a stream, detect drift, "
              "promote online-trained challengers",
     )
     _add_stream_args(stream)
-
-    bench_stream = sub.add_parser(
-        "bench-stream",
-        help="measure online partial_fit updates/sec + detection delay",
-    )
-    bench_stream.add_argument("--dataset", default="mnist",
-                              choices=sorted(DATASET_REGISTRY))
-    bench_stream.add_argument("--train", type=int, default=400, dest="n_train")
-    bench_stream.add_argument("--clauses", type=int, default=120)
-    bench_stream.add_argument("--T", type=int, default=10)
-    bench_stream.add_argument("--s", type=float, default=4.0)
-    bench_stream.add_argument("--seed", type=int, default=42)
-    bench_stream.add_argument("--samples", type=int, default=600,
-                              help="streamed samples per timed run")
-    bench_stream.add_argument("--batch-size", type=int, default=64)
-    bench_stream.add_argument("--repeats", type=int, default=2,
-                              help="timed repetitions per backend (best-of)")
-    bench_stream.add_argument("--json", action="store_true",
-                              help="print the benchmark payload as JSON")
-    bench_stream.add_argument("--save", default=None,
-                              help="also write the JSON payload to this path")
 
     sweep = sub.add_parser(
         "sweep",
@@ -701,171 +571,6 @@ def _cmd_serve(args, out):
     return 0
 
 
-def _run_profiled(fn, enabled):
-    """Run ``fn``, optionally under cProfile.
-
-    Returns ``(result, profile_payload)`` where the payload is ``None``
-    without profiling, else a JSON-able dict of the top-20 functions by
-    cumulative time — the artifact CI stores next to the bench JSONs so
-    a regression report comes with the hotspot list that explains it.
-    """
-    if not enabled:
-        return fn(), None
-    import cProfile
-
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        result = fn()
-    finally:
-        prof.disable()
-    prof.create_stats()
-    rows = [
-        {
-            "file": filename,
-            "line": lineno,
-            "function": funcname,
-            "ncalls": nc,
-            "tottime_s": round(tt, 6),
-            "cumtime_s": round(ct, 6),
-        }
-        for (filename, lineno, funcname), (cc, nc, tt, ct, callers)
-        in prof.stats.items()
-    ]
-    rows.sort(key=lambda r: -r["cumtime_s"])
-    return result, {"sort": "cumulative", "top": rows[:20]}
-
-
-def _write_profile(profile_payload, save, default_name, out):
-    """Write a :func:`_run_profiled` payload next to the bench JSON."""
-    if profile_payload is None:
-        return
-    if save:
-        path = Path(save)
-        path = path.with_name(f"{path.stem}_profile.json")
-    else:
-        path = Path(default_name)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(profile_payload, indent=1), encoding="utf-8")
-    print(f"profile: {path}", file=out)
-
-
-def _cmd_bench_serve(args, out):
-    from ..serving import format_benchmark, serve_benchmark
-
-    config = _config_from_args(args)
-    flow = MatadorFlow(
-        config,
-        progress=lambda stage, sec: print(f"  [{stage}] {sec:.2f}s", file=out),
-    )
-    flow.load_data()
-    model = flow.train()
-    batch_sizes = tuple(int(b) for b in args.batch_sizes.split(","))
-    payload = serve_benchmark(model, batch_sizes=batch_sizes,
-                              repeats=args.repeats, seed=config.train_seed)
-    if args.json:
-        print(json.dumps(payload, indent=1), file=out)
-    else:
-        print(format_benchmark(payload), file=out)
-    if args.save:
-        with open(args.save, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=1)
-        print(f"saved: {args.save}", file=out)
-    return 0
-
-
-def _cmd_bench_fabric(args, out):
-    from ..serving import (
-        fabric_benchmark,
-        format_fabric_benchmark,
-        format_traffic_report,
-        simulate_traffic,
-        snapshot_engine,
-    )
-
-    if args.replicas < 2:
-        print("bench-fabric: --replicas must be >= 2", file=out)
-        return 2
-    config = _config_from_args(args)
-    flow = MatadorFlow(
-        config,
-        progress=lambda stage, sec: print(f"  [{stage}] {sec:.2f}s", file=out),
-    )
-    flow.load_data()
-    model = flow.train()
-    if args.traffic_sim:
-        autoscale = None
-        if args.autoscale_max > args.replicas:
-            autoscale = {"max_replicas": args.autoscale_max}
-        payload, profile = _run_profiled(
-            lambda: simulate_traffic(
-                snapshot_engine(model),
-                n_replicas=args.replicas,
-                duration_s=args.duration,
-                rate=args.rate,
-                burst_at=args.burst_at,
-                burst_len=args.burst_len,
-                burst_x=args.burst_x,
-                hot_key_fraction=args.hot_key_fraction,
-                service_rate=args.service_rate,
-                deadline_ms=args.deadline_ms,
-                max_batch=args.max_batch,
-                max_queue=args.max_queue,
-                admit_rate=args.admit_rate,
-                admit_burst=args.admit_burst,
-                quota=args.quota,
-                autoscale=autoscale,
-                seed=args.sim_seed,
-            ),
-            args.profile,
-        )
-        rendered = format_traffic_report(payload)
-    else:
-        payload, profile = _run_profiled(
-            lambda: fabric_benchmark(
-                model, n_replicas=args.replicas, max_batch=args.max_batch,
-                n_requests=args.requests, repeats=args.repeats,
-                seed=config.train_seed, mode=args.replica_mode,
-            ),
-            args.profile,
-        )
-        rendered = format_fabric_benchmark(payload)
-    if args.json:
-        print(json.dumps(payload, indent=1), file=out)
-    else:
-        print(rendered, file=out)
-    if args.save:
-        save_path = Path(args.save)
-        save_path.parent.mkdir(parents=True, exist_ok=True)
-        save_path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-        print(f"saved: {args.save}", file=out)
-    _write_profile(profile, args.save, "bench_fabric_profile.json", out)
-    return 0
-
-
-def _cmd_bench_train(args, out):
-    from ..tsetlin.bench import format_train_benchmark, train_benchmark
-
-    payload, profile = _run_profiled(
-        lambda: train_benchmark(
-            cold_epochs=args.cold_epochs, steady_epochs=args.steady_epochs,
-            repeats=args.repeats, seed=args.seed, noise=args.noise,
-        ),
-        args.profile,
-    )
-    if args.json:
-        print(json.dumps(payload, indent=1), file=out)
-    else:
-        print(format_train_benchmark(payload), file=out)
-    if args.save:
-        save_path = Path(args.save)
-        save_path.parent.mkdir(parents=True, exist_ok=True)
-        save_path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-        print(f"saved: {args.save}", file=out)
-    _write_profile(profile, args.save, "bench_train_profile.json", out)
-    return 0
-
-
 def _cmd_stream(args, out):
     from ..data.loaders import load_dataset
     from ..streaming import (
@@ -925,26 +630,6 @@ def _cmd_stream(args, out):
         report_path.write_text(json.dumps(report, indent=1), encoding="utf-8")
         print(f"report: {args.report}", file=out)
     return 1 if report["unresolved"] else 0
-
-
-def _cmd_bench_stream(args, out):
-    from ..streaming import format_stream_benchmark, stream_benchmark
-
-    payload = stream_benchmark(
-        dataset=args.dataset, n_train=args.n_train, clauses=args.clauses,
-        T=args.T, s=args.s, seed=args.seed, n_samples=args.samples,
-        batch_size=args.batch_size, repeats=args.repeats,
-    )
-    if args.json:
-        print(json.dumps(payload, indent=1), file=out)
-    else:
-        print(format_stream_benchmark(payload), file=out)
-    if args.save:
-        save_path = Path(args.save)
-        save_path.parent.mkdir(parents=True, exist_ok=True)
-        save_path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-        print(f"saved: {args.save}", file=out)
-    return 0
 
 
 def _split_axis(text, convert=str):
@@ -1209,17 +894,8 @@ def main(argv=None, out=None):
     if args.command == "serve":
         with _metrics_capture(args.metrics_json, out):
             return _cmd_serve(args, out)
-    if args.command == "bench-serve":
-        return _cmd_bench_serve(args, out)
-    if args.command == "bench-fabric":
-        with _metrics_capture(args.metrics_json, out):
-            return _cmd_bench_fabric(args, out)
-    if args.command == "bench-train":
-        return _cmd_bench_train(args, out)
     if args.command == "stream":
         return _cmd_stream(args, out)
-    if args.command == "bench-stream":
-        return _cmd_bench_stream(args, out)
     if args.command == "sweep":
         return _cmd_sweep(args, out)
     if args.command == "automl":

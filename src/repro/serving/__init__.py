@@ -35,11 +35,6 @@ Layer map::
                           (drained scale-down, zero drops)
     simulate_traffic      seeded open-loop Poisson/burst/hot-key traffic
                           simulator in virtual time -> overload report
-                          (CLI `bench-fabric --traffic-sim`)
-    serve_benchmark       packed-vs-per-sample throughput measurement
-                          (CLI `bench-serve`, benchmarks suite)
-    fabric_benchmark      multi-replica vs single-replica throughput
-                          measurement (CLI `bench-fabric`)
 """
 
 from .differential import DifferentialChecker, DifferentialMismatch
@@ -68,12 +63,6 @@ from .traffic import (
     format_traffic_report,
     simulate_traffic,
 )
-from .bench import (
-    fabric_benchmark,
-    format_benchmark,
-    format_fabric_benchmark,
-    serve_benchmark,
-)
 
 __all__ = [
     "DifferentialChecker",
@@ -100,8 +89,4 @@ __all__ = [
     "SimReplicaPool",
     "format_traffic_report",
     "simulate_traffic",
-    "fabric_benchmark",
-    "format_benchmark",
-    "format_fabric_benchmark",
-    "serve_benchmark",
 ]

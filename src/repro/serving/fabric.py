@@ -343,8 +343,6 @@ def _host_loop(conn, engine, ring_spec):
     returns a snapshot with every ``pong`` — the parent merges those
     into its registry (cross-process snapshot merge).
     """
-    served_batches = 0
-    served_samples = 0
     segments, views = [], []
     pid = os.getpid()
     span_seq = 0
@@ -356,15 +354,13 @@ def _host_loop(conn, engine, ring_spec):
     def predict(req_id, slot, n_rows, ctx):
         # A function of its own, so the slot views it binds are released
         # on return and a later re-attach can close the old segments.
-        nonlocal served_batches, served_samples, span_seq
+        nonlocal span_seq
         X, preds_out, sums_out = views[slot]
         t0 = time.perf_counter()
         preds, sums = engine.predict_with_sums(X[:n_rows])
         t1 = time.perf_counter()
         preds_out[:n_rows] = preds
         sums_out[:n_rows] = sums
-        served_batches += 1
-        served_samples += n_rows
         m_batches.inc()
         m_samples.inc(int(n_rows))
         h_batch.record(t1 - t0)
@@ -402,12 +398,12 @@ def _host_loop(conn, engine, ring_spec):
             elif kind == "ping":
                 conn.send(("pong", {
                     "version": engine.version,
-                    "batches": served_batches,
-                    "samples": served_samples,
+                    "batches": m_batches.value,
+                    "samples": m_samples.value,
                     "metrics": metrics.snapshot(),
                 }))
             elif kind == "stop":
-                conn.send(("stopped", served_samples))
+                conn.send(("stopped", m_samples.value))
                 break
             else:
                 conn.send(("error", f"unknown message kind {kind!r}"))

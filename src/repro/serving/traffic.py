@@ -1,7 +1,8 @@
 """Open-loop traffic simulator: prove fabric behaviour under overload.
 
-``bench-fabric`` measures throughput; this module measures *conduct* —
-what the gateway does when offered more load than the fleet can serve.
+The fabric throughput benchmark measures speed; this module measures
+*conduct* — what the gateway does when offered more load than the fleet
+can serve.
 The simulator drives a real :class:`~repro.serving.Gateway` (real
 routing, real QoS decisions, real engine predictions) in **virtual
 time**:

@@ -27,8 +27,6 @@ Layer map::
                        re-rolls the fleet to the displaced version
     StreamSession      the standing loop: serve -> detect -> adapt ->
                        promote, with a JSON-able report
-    stream_benchmark   online updates/sec + detection-delay measurement
-                       (CLI `bench-stream`, benchmarks suite)
 """
 
 from .sources import (
@@ -45,7 +43,6 @@ from .online import OnlineTrainer
 from .drift import DriftDetector
 from .promote import Promoter
 from .session import StreamSession, run_stream
-from .bench import format_stream_benchmark, stream_benchmark
 
 __all__ = [
     "DRIFT_KINDS",
@@ -61,6 +58,4 @@ __all__ = [
     "Promoter",
     "StreamSession",
     "run_stream",
-    "format_stream_benchmark",
-    "stream_benchmark",
 ]

@@ -19,7 +19,7 @@ from .convolutional import ConvolutionalTsetlinMachine
 from .feedback import clause_outputs, type_i_feedback, type_ii_feedback
 from .inference import InferenceMixin, argmax_lowest
 from .machine import TrainingLog, TsetlinMachine
-from .search import SearchPoint, SearchResult, grid_search, search_clause_budget
+from .search import SearchPoint, SearchResult, search_clause_budget
 from .rng import (
     CyclostationaryRandom,
     NumpyRandom,
@@ -55,6 +55,5 @@ __all__ = [
     "make_rng",
     "SearchPoint",
     "SearchResult",
-    "grid_search",
     "search_clause_budget",
 ]

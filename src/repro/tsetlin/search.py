@@ -2,20 +2,16 @@
 
 MILEAGE searches for the smallest clause count that reaches a target
 accuracy, because clause count is the dominant hardware cost knob while
-throughput is bandwidth-fixed.  Two strategies:
+throughput is bandwidth-fixed.  :func:`search_clause_budget` is a
+doubling search with early stopping: grow the budget until accuracy
+saturates (or the target is met), then binary-refine between the last
+two budgets.  For the broader (clauses, T, s) exploration of ref [18],
+use the successive-halving scheduler in :mod:`repro.sweep.scheduler`.
 
-* :func:`search_clause_budget` — doubling search with early stopping:
-  grow the budget until accuracy saturates (or the target is met), then
-  binary-refine between the last two budgets.
-* :func:`grid_search` — plain grid over (clauses, T, s) with successive
-  halving on epochs, for the broader hyperparameter exploration of
-  ref [18].
-
-Both return every evaluated point so the caller can plot the
-accuracy/cost frontier, and both delegate their candidate evaluations to
-the sweep executor (:func:`repro.sweep.executor.parallel_map`): pass
-``jobs=N`` to fan independent candidates across a process pool.  The
-doubling search evaluates its budget ladder in speculative waves of
+The search returns every evaluated point so the caller can plot the
+accuracy/cost frontier, and delegates its candidate evaluations to the
+sweep executor (:func:`repro.sweep.executor.parallel_map`): pass
+``jobs=N`` to evaluate the budget ladder in speculative waves of
 ``jobs`` — results are identical to the serial search (points past the
 stopping rung are discarded), only the wall clock changes.
 """
@@ -27,7 +23,7 @@ from dataclasses import dataclass, field
 from ..sweep.executor import parallel_map
 from .machine import TsetlinMachine
 
-__all__ = ["SearchPoint", "SearchResult", "search_clause_budget", "grid_search"]
+__all__ = ["SearchPoint", "SearchResult", "search_clause_budget"]
 
 
 @dataclass
@@ -181,52 +177,3 @@ def search_clause_budget(X_train, y_train, X_val, y_val, target_accuracy=None,
         SearchResult(best=best, evaluated=evaluated, target_met=False),
         machines[best.n_clauses],
     )
-
-
-def grid_search(X_train, y_train, X_val, y_val, clause_grid=(8, 16),
-                T_grid=(8, 15), s_grid=(3.0, 5.0), epochs=4, seed=0,
-                halving=True, backend="vectorized", jobs=1):
-    """Grid search with optional successive halving on training epochs.
-
-    With ``halving``, every configuration first trains for ``epochs // 2``
-    epochs; only the top half continues to the full budget — the search
-    scheme of ref [18] scaled to laptop budgets.  Both rounds fan their
-    independent candidates through the sweep executor (``jobs`` pool
-    processes); all candidates train on the ``backend`` engine
-    (bit-identical across backends).
-    """
-    ds_train = (X_train, y_train)
-    ds_val = (X_val, y_val)
-    configs = [
-        (c, t, s) for c in clause_grid for t in T_grid for s in s_grid
-    ]
-    stage_epochs = max(1, epochs // 2) if halving else epochs
-
-    first_round = [
-        point
-        for point, _tm in parallel_map(
-            _eval_task,
-            [(ds_train, ds_val, c, t, s, stage_epochs, seed, backend)
-             for c, t, s in configs],
-            jobs=jobs,
-        )
-    ]
-
-    evaluated = list(first_round)
-    if halving and len(configs) > 1:
-        survivors = sorted(first_round, key=lambda p: -p.accuracy)
-        survivors = survivors[: max(1, len(survivors) // 2)]
-        finals = [
-            point
-            for point, _tm in parallel_map(
-                _eval_task,
-                [(ds_train, ds_val, p.n_clauses, p.T, p.s, epochs, seed,
-                  backend) for p in survivors],
-                jobs=jobs,
-            )
-        ]
-        evaluated.extend(finals)
-        best = max(finals, key=lambda p: p.accuracy)
-    else:
-        best = max(evaluated, key=lambda p: p.accuracy)
-    return SearchResult(best=best, evaluated=evaluated, target_met=False)

@@ -300,22 +300,6 @@ class TestCli:
         code, text = self.run_cli(["run", "--config", str(path), "--no-verify"])
         assert code == 0
 
-    def test_bench_train_saves_payload_and_profile(self, tmp_path):
-        save = tmp_path / "train_cli.json"
-        code, text = self.run_cli([
-            "bench-train", "--cold-epochs", "1", "--steady-epochs", "1",
-            "--repeats", "1", "--save", str(save), "--profile",
-        ])
-        assert code == 0
-        assert "training benchmark" in text
-        payload = json.loads(save.read_text())
-        assert payload["steady_speedup"] > 1.0
-        profile = json.loads(
-            (tmp_path / "train_cli_profile.json").read_text())
-        assert profile["sort"] == "cumulative"
-        assert 0 < len(profile["top"]) <= 20
-        assert {"function", "cumtime_s", "ncalls"} <= set(profile["top"][0])
-
     def test_sweep_report_and_resume(self, tmp_path):
         report = tmp_path / "pareto.json"
         csv_path = tmp_path / "points.csv"

@@ -1,9 +1,9 @@
-"""Tests for the automated clause-budget / hyperparameter search."""
+"""Tests for the automated clause-budget search."""
 
 import numpy as np
 import pytest
 
-from repro.tsetlin import grid_search, search_clause_budget
+from repro.tsetlin import search_clause_budget
 
 
 def make_task(n=220, seed=0):
@@ -60,34 +60,3 @@ class TestClauseBudgetSearch:
         with pytest.raises(ValueError):
             search_clause_budget(X_tr, y_tr, X_val, y_val, start=3)
 
-
-class TestGridSearch:
-    def test_all_configs_evaluated(self):
-        X_tr, y_tr, X_val, y_val = make_task(seed=4)
-        result = grid_search(
-            X_tr, y_tr, X_val, y_val,
-            clause_grid=(4, 8), T_grid=(4,), s_grid=(3.0,),
-            epochs=2, halving=False,
-        )
-        assert len(result.evaluated) == 2
-
-    def test_halving_promotes_top_half(self):
-        X_tr, y_tr, X_val, y_val = make_task(seed=5)
-        result = grid_search(
-            X_tr, y_tr, X_val, y_val,
-            clause_grid=(4, 8), T_grid=(4, 8), s_grid=(3.0,),
-            epochs=4, halving=True,
-        )
-        # 4 first-round + 2 promoted finals.
-        assert len(result.evaluated) == 6
-        finals = result.evaluated[4:]
-        assert all(p.epochs == 4 for p in finals)
-
-    def test_best_is_from_finals_when_halving(self):
-        X_tr, y_tr, X_val, y_val = make_task(seed=6)
-        result = grid_search(
-            X_tr, y_tr, X_val, y_val,
-            clause_grid=(4, 8), T_grid=(4,), s_grid=(3.0, 5.0),
-            epochs=4, halving=True,
-        )
-        assert result.best.epochs == 4

@@ -15,8 +15,6 @@ from repro.serving import (
     InferenceEngine,
     ModelNotFound,
     Registry,
-    format_benchmark,
-    serve_benchmark,
     snapshot_engine,
 )
 from repro.simulator import CompiledNetlist
@@ -546,18 +544,3 @@ class TestDifferentialChecker:
             "clean": True,
         }
 
-
-# ----------------------------------------------------------------------
-# Benchmark helper
-# ----------------------------------------------------------------------
-class TestServeBenchmark:
-    def test_payload_shape_and_formatting(self):
-        model = random_model(n_classes=3, n_clauses=6, n_features=16, seed=8)
-        payload = serve_benchmark(model, batch_sizes=(1, 4), n_requests=16,
-                                  repeats=1, baseline_requests=8)
-        assert set(payload["batch_sizes"]) == {"1", "4"}
-        for row in payload["batch_sizes"].values():
-            assert row["requests_per_s"] > 0
-        text = format_benchmark(payload)
-        assert "per-sample baseline" in text
-        assert "batch" in text

@@ -13,7 +13,7 @@ from repro.sweep import (
     run_sweep,
     sweep_key,
 )
-from repro.tsetlin import grid_search, search_clause_budget
+from repro.tsetlin import search_clause_budget
 from test_search import make_task
 
 
@@ -320,17 +320,6 @@ class TestRunSweep:
 
 # ----------------------------------------------------------------------
 class TestSearchDelegation:
-    def test_grid_search_parallel_matches_serial(self):
-        X_tr, y_tr, X_val, y_val = make_task(seed=7)
-        kwargs = dict(
-            clause_grid=(4, 8), T_grid=(4, 8), s_grid=(3.0,),
-            epochs=2, halving=True,
-        )
-        serial = grid_search(X_tr, y_tr, X_val, y_val, jobs=1, **kwargs)
-        fanned = grid_search(X_tr, y_tr, X_val, y_val, jobs=2, **kwargs)
-        assert serial.evaluated == fanned.evaluated
-        assert serial.best == fanned.best
-
     def test_clause_budget_parallel_matches_serial(self):
         X_tr, y_tr, X_val, y_val = make_task(seed=8)
         kwargs = dict(start=4, max_clauses=32, epochs=2, tolerance=-1.0)
