@@ -1,7 +1,7 @@
 """Training-throughput benchmark: samples/sec per backend.
 
 Records a perf trajectory for the training engine so future PRs can see
-regressions, and gates the packed-word feedback path: the steady-state
+regressions, and gates the vectorized training path: the steady-state
 regime must hold a >=40x vectorized-vs-reference speedup.
 
 Two regimes are measured on an MNIST-scale synthetic task (10 classes,
@@ -13,8 +13,8 @@ Two regimes are measured on an MNIST-scale synthetic task (10 classes,
 * **steady** — continued training from a converged model (the regime a
   long training run or an online-learning deployment spends nearly all
   its time in), where the reference backend still rematerializes the
-  full include matrix per sample while the vectorized backend's packed
-  planes and incremental output caches make most updates nearly free
+  full include matrix per sample while the vectorized backend's in-place
+  row updates and incremental output caches make most updates nearly free
   (an include change only versions the touched clause rows; a sample's
   stale rows repair lazily on its next visit).
 

@@ -23,7 +23,8 @@ __all__ = ["CACHE_VERSION", "sweep_key", "SweepCache"]
 
 # v2: the vectorized backend moved to bit-plane packed automata state
 # (word-level feedback); training code paths changed, so every v1 record
-# predates the layout and must be re-evaluated.
+# predates the layout and must be re-evaluated.  The later move back to
+# in-place int16 state is bit-identical, so v2 records remain valid.
 CACHE_VERSION = 2
 
 

@@ -81,16 +81,6 @@ class TMBackend:
         to the :mod:`repro.tsetlin.feedback` functions).
         """
 
-    def flush_state(self):
-        """Write any deferred automaton updates back to ``team.state``.
-
-        Backends that keep the training-session state in a packed form
-        (and defer the dense ``team.state`` writeback) materialize it
-        here.  Machines call this before reading ``team.state`` mid-fit
-        (e.g. ``include_fraction`` for the epoch log); ``end_fit`` implies
-        it.  Dense backends need no override.
-        """
-
     # -- queries -------------------------------------------------------
     def includes(self):
         """Include matrix ``(classes, clauses, 2f)`` bool.

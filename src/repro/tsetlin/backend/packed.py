@@ -16,15 +16,15 @@ Two packing granularities live here:
   ``packed_clause_outputs`` / ``packed_class_sums`` accept either, as
   long as both operands agree.
 
-On top of the evaluation kernels, :class:`PackedAutomataState` stores the
-*automata strength counters themselves* as uint64 bit-planes, so Type
-I/II feedback becomes word-parallel saturating add/subtract and the
-include mask is literally the most-significant plane — no thresholding,
-no unpacking on the training hot path.
+Only the include matrix and the literals are packed; the automaton
+states themselves stay dense int16 in ``team.state``, where training
+feedback updates them in place and re-packs just the include rows that
+flipped.
 
 These kernels are the single implementation behind:
 
-* :meth:`VectorizedBackend.batch_outputs` and the packed feedback path,
+* :meth:`VectorizedBackend.batch_outputs` and the training-time clause
+  evaluation,
 * :meth:`TMBackend.packed_predict` (the fast path every backend offers),
 * :class:`repro.serving.InferenceEngine` (the serving engine, which packs
   the include matrix once per model snapshot and reuses it per request).
@@ -39,14 +39,9 @@ __all__ = [
     "pack_not_literals",
     "pack_words",
     "pack_not_literal_words",
-    "unpack_words",
-    "words_per",
     "packed_clause_outputs",
     "packed_class_sums",
-    "PackedAutomataState",
 ]
-
-WORD_BITS = 64
 
 # Soft cap (bytes) on one chunk of the batched packed evaluation; keeps
 # the (samples, clauses, bytes) AND intermediate inside cache-friendly
@@ -75,18 +70,13 @@ def pack_not_literals(L):
     return np.packbits(~np.asarray(L, dtype=bool), axis=-1)
 
 
-def words_per(n_bits):
-    """Number of uint64 words covering ``n_bits`` bits."""
-    return (int(n_bits) + WORD_BITS - 1) // WORD_BITS
-
-
 def pack_words(bits):
     """Pack a boolean array's last axis into big-endian uint64 words.
 
     The word layout is ``np.packbits`` bytes viewed as uint64, so byte
     ``i`` of word ``w`` covers bits ``64w + 8i .. 64w + 8i + 7`` (MSB
     first).  Pad bits beyond the last real literal are always 0, which
-    keeps every AND/any kernel and the bit-plane carry arithmetic exact.
+    keeps every AND/any kernel exact.
     """
     packed = np.packbits(np.asarray(bits, dtype=bool), axis=-1)
     n_bytes = packed.shape[-1]
@@ -102,13 +92,6 @@ def pack_words(bits):
 def pack_not_literal_words(L):
     """uint64-word packing of ``~L`` — the hot-path form of a batch."""
     return pack_words(~np.asarray(L, dtype=bool))
-
-
-def unpack_words(words, n_bits):
-    """Inverse of :func:`pack_words`: bool array with last axis ``n_bits``."""
-    words = np.ascontiguousarray(words)
-    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=int(n_bits))
-    return bits.view(bool)
 
 
 def packed_clause_outputs(nlp, inc_packed, nonempty=None,
@@ -171,120 +154,3 @@ def packed_class_sums(nlp, inc_packed, nonempty, weights,
     if out.shape[1] == 1 and weights.shape[0] != 1:
         return out[:, 0, :] @ weights.T
     return np.einsum("nck,ck->nc", out, weights)
-
-
-class PackedAutomataState:
-    """Automata strength counters as uint64 bit-planes.
-
-    An automaton state lives in ``[1, 2N]`` with *include* iff
-    ``state > N``.  Store ``value = state + offset`` across
-    ``B = (2N).bit_length()`` bit-planes where
-    ``offset = 2**(B-1) - (N + 1)``; then
-
-    * ``include`` ⇔ ``value >= 2**(B-1)`` ⇔ the most-significant plane's
-      bit is set — plane ``B-1`` *is* the packed include matrix, with no
-      thresholding step, and
-    * Type I/II feedback is a word-parallel saturating ±1: a ripple
-      carry/borrow across the planes, pre-guarded by equality masks so
-      states already at ``2N`` / ``1`` stay put (the reference clip
-      semantics).
-
-    Planes have shape ``(B, *lead, words)`` where ``lead`` are the team's
-    clause axes (e.g. ``(C, K)``) and ``words = ceil(n_literals / 64)``.
-    Pad bits beyond ``n_literals`` are kept at 0 by construction: every
-    mask handed to the saturating ops has 0 pads (packed from real
-    literal vectors), so carries never originate in — or propagate into —
-    pad positions.
-
-    For the default ``n_states = 127`` the layout is exact byte-planes of
-    the state value itself (``B = 8``, ``offset = 0``).
-    """
-
-    def __init__(self, state, n_states):
-        state = np.asarray(state)
-        self.n_states = int(n_states)
-        self.n_bits = state.shape[-1]
-        self.n_planes = max(1, (2 * self.n_states).bit_length())
-        self.offset = (1 << (self.n_planes - 1)) - (self.n_states + 1)
-        self._vmin = 1 + self.offset
-        self._vmax = 2 * self.n_states + self.offset
-        value = state.astype(np.int64) + self.offset
-        self.planes = np.stack(
-            [pack_words((value >> b) & 1) for b in range(self.n_planes)]
-        )
-
-    # -- views ---------------------------------------------------------
-    @property
-    def include_words(self):
-        """The MSB plane — the uint64-packed include matrix (a view)."""
-        return self.planes[-1]
-
-    def clause_rows(self, class_index, rows):
-        """Copy of planes for ``rows`` of one bank: ``(B, R, words)``."""
-        return self.planes[:, class_index][:, rows]
-
-    def write_rows(self, class_index, rows, sub):
-        """Write a :meth:`clause_rows` copy back into the planes."""
-        self.planes[:, class_index][:, rows] = sub
-
-    def decode(self, sub, dtype=np.int16):
-        """Dense states from a ``(B, ..., words)`` plane stack."""
-        bits = np.unpackbits(
-            np.ascontiguousarray(sub).view(np.uint8), axis=-1,
-            count=self.n_bits,
-        )
-        if self.n_planes <= 8:
-            # Accumulate in uint8 (value < 256): one shift+or per plane
-            # with no widening copies — this runs on every flush_state.
-            value = bits[0].copy()
-            for b in range(1, self.n_planes):
-                value |= bits[b] << b
-            out = value.astype(dtype)
-        else:
-            out = bits[0].astype(dtype)
-            for b in range(1, self.n_planes):
-                out |= bits[b].astype(dtype) << b
-        out -= dtype(self.offset)
-        return out
-
-    # -- word-parallel saturating arithmetic ---------------------------
-    def _equals(self, sub, value):
-        """Per-bit-position mask: 1 where the stored value == ``value``."""
-        acc = None
-        for b in range(self.n_planes):
-            plane = sub[b] if (value >> b) & 1 else ~sub[b]
-            acc = plane if acc is None else acc & plane
-        return acc
-
-    def saturating_increment(self, sub, mask_words):
-        """In-place ``+1`` at mask bits, saturating at state ``2N``."""
-        carry = mask_words & ~self._equals(sub, self._vmax)
-        for b in range(self.n_planes):
-            plane = sub[b]
-            nxt = carry & plane  # must be read before the xor below
-            np.bitwise_xor(plane, carry, out=plane)
-            carry = nxt
-
-    def increment(self, sub, mask_words):
-        """In-place ``+1`` at mask bits, *without* the saturation guard.
-
-        Valid only when the caller can prove no masked state is at
-        ``2N`` — e.g. Type II feedback, which bumps excluded automata
-        (state <= N) so the result never exceeds ``N + 1 <= 2N``.  Skips
-        the :meth:`_equals` scan, which is the bulk of the guarded cost.
-        """
-        carry = mask_words
-        for b in range(self.n_planes):
-            plane = sub[b]
-            nxt = carry & plane  # must be read before the xor below
-            np.bitwise_xor(plane, carry, out=plane)
-            carry = nxt
-
-    def saturating_decrement(self, sub, mask_words):
-        """In-place ``-1`` at mask bits, saturating at state ``1``."""
-        borrow = mask_words & ~self._equals(sub, self._vmin)
-        for b in range(self.n_planes):
-            plane = sub[b]
-            nxt = borrow & ~plane  # must be read before the xor below
-            np.bitwise_xor(plane, borrow, out=plane)
-            borrow = nxt

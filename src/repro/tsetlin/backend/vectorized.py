@@ -1,4 +1,4 @@
-"""Vectorized backend — packed-word automata state + bit-packed clause eval.
+"""Vectorized backend — in-place int16 feedback + bit-packed clause eval.
 
 The reference trainer pays three per-sample costs that dwarf the actual
 learning signal: it rematerializes the full ``(classes, clauses, 2f)``
@@ -9,11 +9,11 @@ Type I event even though only the masked clause rows consume it.
 This backend removes all three while staying **bit-identical** with
 :class:`~repro.tsetlin.backend.reference.ReferenceBackend`:
 
-* the automata strength counters themselves live in uint64 **bit-planes**
-  (:class:`~repro.tsetlin.backend.packed.PackedAutomataState`): Type I/II
-  feedback is a word-parallel saturating ±1 over the selected clause
-  rows, and the include matrix is literally the most-significant plane —
-  no per-literal unpack, no re-threshold, no re-pack on the hot path;
+* Type I/II feedback updates ``team.state`` in place, on the selected
+  clause rows only: a saturating int16 ±1 per row block.  The include
+  caches (dense bool, uint64 words and the active-clause index) change
+  only for the rows whose ``state > N`` flipped, so the include matrix
+  is never re-thresholded or re-packed as a whole on the hot path;
 * clause evaluation works on uint64-word-packed literals and includes,
   so one sample/bank evaluation is a ``(clauses, ceil(2f/64))`` word AND
   plus a reduction (a clause fails iff any included literal is 0, i.e.
@@ -24,15 +24,10 @@ This backend removes all three while staying **bit-identical** with
   O(log n) for PCG64's ``advance``), leaving the generator in exactly the
   state the reference's full-block draw would.
 
-During a fit session the dense ``team.state`` writeback is deferred:
-touched rows are flagged dirty and decoded from the planes in bulk on
-:meth:`flush_state` / :meth:`end_fit` (machines flush before reading
-``team.state`` mid-fit).  Outside a fit session every feedback call
-writes ``team.state`` back immediately, so direct callers observe dense
-state with no extra step.  A shadow copy of the last written state makes
-:meth:`sync` O(compare) when nothing changed externally — the common case
-for back-to-back fits — while still rebuilding everything when the team
-is mutated behind the backend's back.
+``team.state`` is always live: callers may read it mid-fit with no extra
+step.  :meth:`sync` rebuilds the include caches from ``state > N`` after
+an external edit and keeps the per-sample output cache when the include
+matrix came out unchanged, since clause outputs depend on includes only.
 
 Because the RNG stream and the arithmetic on touched automata are
 identical, a machine trained on this backend has the same include matrix,
@@ -45,12 +40,10 @@ import numpy as np
 
 from .base import TMBackend, literal_matrix, register_backend
 from .packed import (
-    PackedAutomataState,
     pack_not_literal_words,
     pack_words,
     packed_class_sums,
     packed_clause_outputs,
-    unpack_words,
 )
 
 __all__ = ["VectorizedBackend"]
@@ -69,7 +62,7 @@ class VectorizedBackend(TMBackend):
 
     def __init__(self, team):
         super().__init__(team)
-        self._shadow = None  # team.state as of our last writeback
+        self._inc = None  # (C, K, F) bool: team.state > N
         self._nlw = None  # uint64-packed ~literals from begin_fit
         self._out_cache = None  # per-(class, sample) clause outputs
         self._in_fit = False
@@ -81,37 +74,26 @@ class VectorizedBackend(TMBackend):
     # whose log outgrows 4x this is reset to full-refresh-for-everyone.
     _LOG_WALK_MAX = 8
 
-    @staticmethod
-    def _states_equal(a, b):
-        """``np.array_equal`` over a wider view — the shadow compare."""
-        a, b = a.reshape(-1), b.reshape(-1)
-        if a.size % 4 == 0:
-            a, b = a.view(np.int64), b.view(np.int64)
-        return np.array_equal(a, b)
-
     # -- lifecycle -----------------------------------------------------
     def sync(self):
-        """Rebuild the packed caches from ``team.state``.
+        """Rebuild the include caches from ``team.state > N``.
 
-        No-op when ``team.state`` is bit-identical to the backend's last
-        writeback (tracked via a shadow copy) — back-to-back fits and
-        explicit post-``fit`` syncs then skip the full re-pack.
+        Clause outputs depend on includes only, so when the include
+        matrix is unchanged — back-to-back fits, or an external edit that
+        moves states without crossing ``N`` — the caches and the output
+        cache all stay valid and nothing is rebuilt.
         """
-        state = self.team.state
+        self._N = self.team.n_states
+        inc = self.team.state > self._N
         if (
-            self._shadow is not None
-            and self._N == self.team.n_states
-            and self._shadow.shape == state.shape
-            and self._states_equal(state, self._shadow)
+            self._inc is not None
+            and self._inc.shape == inc.shape
+            and np.array_equal(inc, self._inc)
         ):
             return
-        self._N = self.team.n_states
-        self._packed = PackedAutomataState(state, self._N)
-        self._incw = self._packed.include_words  # (C, K, W) uint64 view
-        self._inc = np.ascontiguousarray(state > self._N)  # (C, K, F) bool
-        self._active = self._inc.any(axis=2)  # (C, K) nonempty-clause index
-        self._dirty = np.zeros(state.shape[:2], dtype=bool)
-        self._shadow = state.copy()
+        self._inc = inc
+        self._incw = pack_words(inc)  # (C, K, W) uint64
+        self._active = inc.any(axis=2)  # (C, K) nonempty-clause index
         if self._out_cache is not None:
             # Everything cached is now suspect: force a full re-evaluation
             # on every sample's next visit.
@@ -158,7 +140,6 @@ class VectorizedBackend(TMBackend):
         self._reset_versions()
 
     def end_fit(self):
-        self.flush_state()
         self._in_fit = False
         keep = (
             self._out_cache is not None
@@ -168,18 +149,6 @@ class VectorizedBackend(TMBackend):
         if not keep:
             self._nlw = None
             self._out_cache = None
-
-    def flush_state(self):
-        """Decode dirty plane rows back into ``team.state`` in bulk."""
-        if not self._dirty.any():
-            return
-        state = self.team.state
-        for ci in np.flatnonzero(self._dirty.any(axis=1)):
-            rows = np.flatnonzero(self._dirty[ci])
-            st = self._packed.decode(self._packed.clause_rows(ci, rows))
-            state[ci][rows] = st
-            self._shadow[ci][rows] = st
-        self._dirty[:] = False
 
     # -- queries -------------------------------------------------------
     def includes(self):
@@ -249,7 +218,7 @@ class VectorizedBackend(TMBackend):
         return packed_clause_outputs(nlw, self._incw, nonempty)
 
     def packed_class_sums(self, L, weights):
-        # Reuses the incrementally maintained include plane — no re-pack.
+        # Reuses the incrementally maintained include words — no re-pack.
         nlw = pack_not_literal_words(literal_matrix(L))
         return packed_class_sums(nlw, self._incw, self._active, weights)
 
@@ -259,54 +228,36 @@ class VectorizedBackend(TMBackend):
         return ~v.any(axis=2)  # (P, K)
 
     # -- feedback ------------------------------------------------------
-    def _apply_planes(self, class_index, rows, inc_words, dec_words,
-                      guard_increment=True):
-        """Word-masked saturating ±1 on the plane rows of one bank.
+    def _write_rows(self, class_index, rows, st, was_included):
+        """Store the updated state ``rows`` of one bank; track include flips.
 
-        ``inc_words``/``dec_words`` are uint64 word masks over the
-        selected ``rows`` (either may be None); they are disjoint by
-        construction of the Type I arithmetic, so applying the increment
-        then the decrement matches the reference's net-delta-then-clip.
-        Include-plane changes propagate to the dense/active caches, bump
-        the class's output-cache version and log the touched rows; no
-        cached output is re-scored here.  Each stale sample row repairs
-        lazily in :meth:`bank_outputs` on that sample's next visit, at
-        the cost of the rows logged since.  The dense ``team.state``
-        writeback is immediate outside a fit session and deferred (dirty
-        rows) inside one.
+        ``st`` holds the new states of ``rows`` and ``was_included``
+        their ``state > N`` before the update.  Only rows whose include
+        mask flipped touch the include caches; they bump the class's
+        output-cache version and are logged.  No cached output is
+        re-scored here: each stale sample row repairs lazily in
+        :meth:`bank_outputs` on that sample's next visit, at the cost of
+        the rows logged since.
         """
-        packed = self._packed
-        sub = packed.clause_rows(class_index, rows)  # (B, R, W) copy
-        old_inc = sub[-1].copy()
-        if inc_words is not None:
-            if guard_increment:
-                packed.saturating_increment(sub, inc_words)
-            else:
-                packed.increment(sub, inc_words)
-        if dec_words is not None:
-            packed.saturating_decrement(sub, dec_words)
-        packed.write_rows(class_index, rows, sub)
-        if self._in_fit:
-            self._dirty[class_index][rows] = True
-        else:
-            st = packed.decode(sub)
-            self.team.state[class_index][rows] = st
-            self._shadow[class_index][rows] = st
-        changed = np.flatnonzero(np.any(old_inc != sub[-1], axis=1))
-        if changed.size:
-            touched = rows[changed]
-            inc_rows = unpack_words(sub[-1][changed], packed.n_bits)
-            self._inc[class_index][touched] = inc_rows
-            self._active[class_index][touched] = inc_rows.any(axis=1)
-            ver = self._class_ver[class_index] + 1
-            self._class_ver[class_index] = ver
-            log = self._log[class_index]
-            log.append((ver, touched))
-            if len(log) > 4 * self._LOG_WALK_MAX:
-                # High churn: stop logging individual events and make
-                # every sample of this class do a full refresh instead.
-                self._base_ver[class_index] = ver
-                log.clear()
+        self.team.state[class_index][rows] = st
+        now_included = st > self._N
+        changed = np.flatnonzero((now_included != was_included).any(axis=1))
+        if not changed.size:
+            return
+        touched = rows[changed]
+        inc_rows = now_included[changed]
+        self._inc[class_index][touched] = inc_rows
+        self._incw[class_index][touched] = pack_words(inc_rows)
+        self._active[class_index][touched] = inc_rows.any(axis=1)
+        ver = self._class_ver[class_index] + 1
+        self._class_ver[class_index] = ver
+        log = self._log[class_index]
+        log.append((ver, touched))
+        if len(log) > 4 * self._LOG_WALK_MAX:
+            # High churn: stop logging individual events and make
+            # every sample of this class do a full refresh instead.
+            self._base_ver[class_index] = ver
+            log.clear()
 
     def _draw_rows(self, rng, rows, n_clauses, n_literals):
         """Uniform draws for ``rows`` of a ``(n_clauses, n_literals)`` block.
@@ -366,10 +317,11 @@ class VectorizedBackend(TMBackend):
         fired = np.asarray(outputs, dtype=bool)[rows, np.newaxis]
 
         # Mirrors the reference delta arithmetic on the selected rows
-        # only; memorize/erode are disjoint, so the packed path applies
-        # them as two word-masked saturating steps.  The erode condition
-        # ``(fired & ~lit) | ~fired`` is ``~(fired & lit)`` by
-        # absorption, so one shared base term covers both masks.
+        # only; memorize/erode are disjoint, so applying the guarded
+        # increment then the guarded decrement equals the reference's
+        # net-delta-then-clip.  The erode condition ``(fired & ~lit) |
+        # ~fired`` is ``~(fired & lit)`` by absorption, so one shared
+        # base term covers both masks.
         base = fired & lit
         if boost_true_positive:
             memorize = base  # high prob = 1.0 > any draw
@@ -377,8 +329,12 @@ class VectorizedBackend(TMBackend):
             memorize = base & (draws < (s - 1.0) / s)
         erode = ~base
         erode &= draws < (1.0 / s)
-        self._apply_planes(class_index, rows,
-                           pack_words(memorize), pack_words(erode))
+        N = self._N
+        st = self.team.state[class_index][rows]
+        was_included = st > N
+        st += memorize & (st < 2 * N)
+        st -= erode & (st > 1)
+        self._write_rows(class_index, rows, st, was_included)
 
     def apply_type_ii(self, class_index, clause_mask, outputs, literals):
         mask = np.asarray(clause_mask, dtype=bool) & np.asarray(
@@ -388,13 +344,11 @@ class VectorizedBackend(TMBackend):
             return
         rows = np.flatnonzero(mask)
         lit = literal_matrix(literals)
-        nlw = pack_not_literal_words(
-            lit[np.newaxis, :] if lit.ndim == 1 else lit[rows]
-        )
+        lit = lit[np.newaxis, :] if lit.ndim == 1 else lit[rows]
+        st = self.team.state[class_index][rows]
+        was_included = st > self._N
         # Step excluded automata of 0-valued literals one state toward
-        # include; ~include on the MSB plane is exactly state <= N, and
-        # the result never exceeds N + 1 <= 2N, so saturation never
-        # fires and the unguarded word add is exact.
-        bump = nlw & ~self._incw[class_index][rows]
-        self._apply_planes(class_index, rows, bump, None,
-                           guard_increment=False)
+        # include; they sit at state <= N, so the result never exceeds
+        # N + 1 <= 2N and the unguarded add is exact.
+        st += ~lit & ~was_included
+        self._write_rows(class_index, rows, st, was_included)

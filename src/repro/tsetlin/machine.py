@@ -272,9 +272,6 @@ class TsetlinMachine(InferenceMixin):
                 val_acc = None
                 if X_val is not None and y_val is not None:
                     val_acc = self.evaluate(X_val, y_val)
-                # include_fraction reads team.state — make sure a packed
-                # backend has written its deferred updates back first.
-                self.backend.flush_state()
                 self.log.record(
                     epoch, train_acc, self.team.include_fraction(), val_acc
                 )

@@ -93,6 +93,70 @@ class TestFlatEquivalence:
         step(lambda tm: tm.partial_fit(X[35:5:-1], y[35:5:-1]))
         assert vec.backend._out_cache is not cache
 
+    def test_progress_callback_reads_live_state(self):
+        # team.state is live during a fit: an epoch callback reads it
+        # with no flush and sees the reference machine's state.
+        X, y = _dataset()
+        seen = {}
+        for backend in ("reference", "vectorized"):
+            tm = TsetlinMachine(3, 32, n_clauses=10, T=6, s=3.5, seed=4,
+                                backend=backend)
+            states = seen[backend] = []
+            tm.fit(X, y, epochs=3,
+                   progress=lambda e, entry, tm=tm, states=states:
+                   states.append(tm.team.state.copy()))
+        assert len(seen["vectorized"]) == 3
+        for a, b in zip(seen["reference"], seen["vectorized"]):
+            assert np.array_equal(a, b)
+
+    @staticmethod
+    def _trained_pair():
+        X, y = _dataset()
+        pair = [TsetlinMachine(3, 32, n_clauses=10, T=6, s=3.5, seed=6,
+                               backend=b).fit(X, y, epochs=3,
+                                              track_metrics=False)
+                for b in ("reference", "vectorized")]
+        return X, y, pair[0], pair[1]
+
+    @staticmethod
+    def _assert_next_fit_identical(X, y, ref, vec):
+        for tm in (ref, vec):
+            tm.fit(X, y, epochs=2, track_metrics=False)
+        assert np.array_equal(ref.team.state, vec.team.state)
+        assert np.array_equal(ref.includes(), vec.includes())
+
+    def test_sync_keeps_output_cache_when_includes_unchanged(self):
+        X, y, ref, vec = self._trained_pair()
+        be = vec.backend
+        cache, sample_vers = be._out_cache, [list(v) for v in be._samp_ver]
+        assert cache is not None
+        N = vec.team.n_states
+        before = vec.team.state.copy()
+        for tm in (ref, vec):
+            # Deepen every automaton one state on its own side of N:
+            # states move, no include flips.
+            st = tm.team.state
+            st[(st > 1) & (st <= N)] -= 1
+            st[(st > N) & (st < 2 * N)] += 1
+        assert not np.array_equal(vec.team.state, before)
+        be.sync()
+        assert be._out_cache is cache
+        assert be._samp_ver == sample_vers
+        self._assert_next_fit_identical(X, y, ref, vec)
+
+    def test_sync_rebuilds_output_cache_on_include_flip(self):
+        X, y, ref, vec = self._trained_pair()
+        be = vec.backend
+        N = vec.team.n_states
+        for tm in (ref, vec):
+            st = tm.team.state
+            st[0, 0] = np.where(st[0, 0] > N, N, N + 1)  # flip a clause
+        assert not np.array_equal(be.includes(), vec.team.state > N)
+        be.sync()
+        assert np.array_equal(be.includes(), vec.team.state > N)
+        assert all(v == 0 for vers in be._samp_ver for v in vers)
+        self._assert_next_fit_identical(X, y, ref, vec)
+
     def test_training_log_matches(self):
         X, y = _dataset()
         logs = []

@@ -1,5 +1,6 @@
 """Tests for the end-to-end flow, verification, deployment and CLI."""
 
+import hashlib
 import io
 import json
 
@@ -158,6 +159,34 @@ class TestMatadorFlow:
         flow = MatadorFlow(tiny_flow_config(model_path=str(path)))
         with pytest.raises(ValueError):
             flow.train()
+
+
+class TestGoldenFlow:
+    """Seed-exact pin of the benchmark flow (``perfbench`` ``FLOW``).
+
+    The backend-equivalence suite proves reference and vectorized agree;
+    this pin proves neither moved.  A training change meant to be
+    bit-identical must leave all four figures alone; a change that moves
+    them on purpose updates them here.
+    """
+
+    FLOW = dict(dataset="mnist", clauses_per_class=40, epochs=4,
+                verify_samples=64, data_seed=0)
+    INCLUDE_SHA256 = (
+        "890ea11d8306548c7cc6d62fbb8a8ad8055d569dfc5a4eefc123c2a1bc1c7a4d"
+    )
+
+    def test_flow_mnist_seed0_is_pinned(self):
+        result = MatadorFlow(FlowConfig(**self.FLOW)).run()
+        include = np.ascontiguousarray(result.machine.includes(), dtype=bool)
+        assert include.shape == (10, 40, 1568)
+        assert hashlib.sha256(include.tobytes()).hexdigest() == (
+            self.INCLUDE_SHA256
+        )
+        assert result.accuracy == 205 / 300
+        assert result.implementation.resources.luts == 6679
+        assert result.design.latency.latency_cycles == 16
+        assert result.verification.passed
 
 
 class TestModelFamilies:

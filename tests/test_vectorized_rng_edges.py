@@ -14,8 +14,9 @@ automata and asserting, per scenario:
 Covered: zero-clause selection (with and without the convolutional
 ``always_draw`` convention), all-clauses-selected (the full-block path),
 single rows at every boundary, dense spans (block-draw-then-slice path),
-scattered sparse rows (run-by-run skip path), and generators without
-O(log n) ``advance`` (draw-and-discard fallback).
+scattered sparse rows (run-by-run skip path), generators without
+O(log n) ``advance`` (draw-and-discard fallback), and automata pinned at
+the ``1`` / ``2N`` clip bounds.
 """
 
 import numpy as np
@@ -165,6 +166,59 @@ class TestMaskPatterns:
         mask[[2, 13]] = True
         ref, vec, rngs = _apply_both(mask, rng_kind=rng_kind)
         _assert_equivalent(ref, vec, rngs)
+
+
+# ----------------------------------------------------------------------
+# Saturation at the clip bounds
+# ----------------------------------------------------------------------
+class TestSaturation:
+    """States pinned at ``1`` and ``2N`` must stay put under the
+    saturating ±1, exactly where the reference clips its net delta."""
+
+    N = 3  # 2N = 6: a few events walk every automaton into a bound
+
+    def _pinned_backends(self):
+        N = self.N
+        rng = np.random.default_rng(13)
+        states = np.empty((2, N_CLAUSES, N_LITERALS), dtype=np.int16)
+        states[:, :4] = 1
+        states[:, 4:8] = 2 * N
+        # Mixed rows: every bound and both sides of the include threshold.
+        states[:, 8:] = rng.choice([1, N, N + 1, 2 * N],
+                                   (2, N_CLAUSES - 8, N_LITERALS))
+        teams = []
+        for _ in range(2):
+            team = AutomataTeam((2, N_CLAUSES, N_LITERALS), n_states=N)
+            team.state[:] = states
+            teams.append(team)
+        return ReferenceBackend(teams[0]), VectorizedBackend(teams[1])
+
+    @pytest.mark.parametrize("boost", [False, True])
+    def test_pinned_states_on_both_backends(self, boost):
+        ref, vec = self._pinned_backends()
+        rng_ref = make_rng("numpy", seed=3)
+        rng_vec = make_rng("numpy", seed=3)
+        data = np.random.default_rng(4)
+        for event in range(24):
+            bank = event % 2
+            lit = data.random(N_LITERALS) < 0.5
+            mask = data.random(N_CLAUSES) < 0.6
+            outputs = vec.bank_outputs(bank, lit)
+            assert np.array_equal(outputs, ref.bank_outputs(bank, lit))
+            if event % 3 == 0:
+                # Force the fired branch, so memorize reaches rows at 2N.
+                outputs = np.ones(N_CLAUSES, dtype=np.uint8)
+            for be, rng in ((ref, rng_ref), (vec, rng_vec)):
+                be.apply_type_i(bank, mask, outputs, lit, 1.5, rng,
+                                boost_true_positive=boost)
+            assert np.array_equal(ref.team.state, vec.team.state)
+            for be in (ref, vec):
+                be.apply_type_ii(bank, ~mask, outputs, lit)
+            assert np.array_equal(ref.team.state, vec.team.state)
+            assert np.array_equal(ref.includes(), vec.includes())
+        state = vec.team.state
+        assert state.min() == 1 and state.max() == 2 * self.N
+        assert np.array_equal(rng_ref.random((8,)), rng_vec.random((8,)))
 
 
 # ----------------------------------------------------------------------
