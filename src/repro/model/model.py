@@ -23,6 +23,7 @@ import json
 import numpy as np
 
 from ..tsetlin.booleanize import literals_from_features
+from ..tsetlin.inference import check_features
 
 __all__ = ["TMModel"]
 
@@ -100,14 +101,7 @@ class TMModel:
     # ------------------------------------------------------------------
     def clause_outputs(self, X):
         """Clause outputs ``(samples, classes, clauses)``; empty clauses → 0."""
-        X = np.asarray(X, dtype=np.uint8)
-        if X.ndim == 1:
-            X = X[np.newaxis, :]
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} features, got {X.shape[1]}"
-            )
-        L = literals_from_features(X)
+        L = literals_from_features(check_features(X, self.n_features))
         violations = np.einsum(
             "nf,ckf->nck", (1 - L).astype(np.uint8), self.include.astype(np.uint8)
         )

@@ -2,10 +2,11 @@
 
 Training mutates automata in place; serving must not observe that.  An
 :class:`InferenceEngine` therefore freezes one *snapshot* of a model —
-the include matrix bit-packed once (``np.packbits``), the vote-weight
-matrix copied — and answers every subsequent request with the same
-byte-AND kernels the :class:`~repro.tsetlin.backend.VectorizedBackend`
-trains with (:mod:`repro.tsetlin.backend.packed`).  Packing per snapshot
+the active include rows packed once into uint64 words (``pack_words``),
+the vote-weight matrix copied — and answers every subsequent request
+with the same word-AND kernel the
+:class:`~repro.tsetlin.backend.VectorizedBackend` trains with
+(:mod:`repro.tsetlin.backend.packed`).  Packing per snapshot
 instead of per request is what the generic ``batch_outputs`` path cannot
 do: it re-derives the include matrix from whatever backend happens to be
 attached, every call.
@@ -34,12 +35,13 @@ import numpy as np
 from ..model.sparsity import ActiveClauseIndex
 from ..tsetlin.booleanize import literals_from_features
 from ..tsetlin.backend.packed import (
-    pack_not_literals,
+    pack_not_literal_words,
+    pack_words,
     packed_clause_outputs,
 )
 from ..tsetlin.coalesced import CoalescedTsetlinMachine
-from ..tsetlin.convolutional import ConvolutionalTsetlinMachine
-from ..tsetlin.inference import argmax_lowest
+from ..tsetlin.convolutional import ConvolutionalTsetlinMachine, patch_features
+from ..tsetlin.inference import argmax_lowest, check_features
 
 __all__ = ["InferenceEngine", "ConvolutionalInferenceEngine", "snapshot_engine"]
 
@@ -104,9 +106,7 @@ class InferenceEngine:
         # The dense snapshot above remains the interchange artifact for
         # promotion/serialization; the index densifies back exactly.
         self.active_index = ActiveClauseIndex.from_include(include, weights)
-        self._inc_packed_active = np.packbits(
-            self.active_index.include_active, axis=-1
-        )
+        self._inc_words_active = pack_words(self.active_index.include_active)
         self._weights_active_t = np.ascontiguousarray(
             self.active_index.weights_active.T
         )
@@ -120,22 +120,12 @@ class InferenceEngine:
     def n_clauses(self):
         return self.include.shape[1]
 
-    def _check_features(self, X):
-        X = np.asarray(X, dtype=np.uint8)
-        if X.ndim == 1:
-            X = X[np.newaxis, :]
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} boolean features, got {X.shape[1]}"
-            )
-        return X
-
     # ------------------------------------------------------------------
     def class_sums(self, X):
         """Vote totals ``(samples, classes)`` int32, empty clauses pruned."""
-        X = self._check_features(X)
-        nlp = pack_not_literals(literals_from_features(X).astype(bool))
-        out = packed_clause_outputs(nlp, self._inc_packed_active)  # (n, A)
+        X = check_features(X, self.n_features)
+        nlw = pack_not_literal_words(literals_from_features(X))
+        out = packed_clause_outputs(nlw, self._inc_words_active)  # (n, A)
         return out.astype(np.int32) @ self._weights_active_t
 
     def predict(self, X):
@@ -188,9 +178,6 @@ class ConvolutionalInferenceEngine(InferenceEngine):
                  name="ctm", version=0):
         self.image_h, self.image_w = map(int, image_shape)
         self.patch_h, self.patch_w = map(int, patch_shape)
-        self.rows = self.image_h - self.patch_h + 1
-        self.cols = self.image_w - self.patch_w + 1
-        self.n_patches = self.rows * self.cols
         self._coord_bits = np.array(coord_bits, dtype=np.uint8)
         n_patch_features = include.shape[2] // 2
         super().__init__(include, weights, n_patch_features,
@@ -198,29 +185,17 @@ class ConvolutionalInferenceEngine(InferenceEngine):
         # The engine's request width is the flat image, not patch features.
         self.n_features = self.image_h * self.image_w
 
-    def _patch_literals(self, X):
-        """(samples, patches, 2 * patch_features) literal tensor."""
-        X = self._check_features(X)
-        imgs = X.reshape(-1, self.image_h, self.image_w)
-        n = len(imgs)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            imgs, (self.patch_h, self.patch_w), axis=(1, 2)
-        )
-        pixels = windows.reshape(n, self.n_patches, self.patch_h * self.patch_w)
-        coords = np.broadcast_to(
-            self._coord_bits[np.newaxis],
-            (n, self.n_patches, self._coord_bits.shape[1]),
-        )
-        patches = np.concatenate([pixels, coords], axis=2)
-        return np.concatenate([patches, 1 - patches], axis=2)
-
     def class_sums(self, X):
-        lit = self._patch_literals(X)  # (n, P, 2f)
-        n, P, _ = lit.shape
-        nlp = pack_not_literals(lit.astype(bool).reshape(n * P, -1))
+        patches = patch_features(check_features(X, self.n_features),
+                                 (self.image_h, self.image_w),
+                                 (self.patch_h, self.patch_w),
+                                 self._coord_bits)  # (n, P, f)
+        n, P, f = patches.shape
+        nlw = pack_not_literal_words(
+            literals_from_features(patches.reshape(n * P, f)))
         # Active clauses only: a pruned (empty) clause can never fire, so
         # the patch-OR and the vote run over the compact rows.
-        per_patch = packed_clause_outputs(nlp, self._inc_packed_active)
+        per_patch = packed_clause_outputs(nlw, self._inc_words_active)
         A = per_patch.shape[-1]
         fired = per_patch.reshape(n, P, A).any(axis=1)
         return fired.astype(np.int32) @ self._weights_active_t

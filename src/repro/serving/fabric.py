@@ -81,6 +81,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.obs import MetricsRegistry, get_registry
+from repro.tsetlin.inference import check_features
 
 from .fabric_qos import LatencyHistogram
 
@@ -1232,29 +1233,25 @@ class Gateway:
         class.  A request the QoS layer refuses comes back as an
         already-resolved ``shed=True`` ticket.
         """
-        x = np.asarray(x, dtype=np.uint8)
-        if x.ndim != 1:
+        if np.ndim(x) != 1:
             raise ValueError("submit() takes a single sample; use "
                              "submit_many() for batches")
-        if x.shape[0] != self.pool.engine.n_features:
-            raise ValueError(
-                f"expected {self.pool.engine.n_features} features, "
-                f"got {x.shape[0]}"
-            )
+        x = check_features(x, self.pool.engine.n_features)[0]
         return self._submit_checked(x, key, tenant, klass)
 
     def submit_many(self, X, keys=None, tenants=None, klass=None):
         """Queue a whole array of samples; returns the tickets.
 
-        The bulk path of :meth:`submit`: one width check for the array,
-        then per-row routing identical to submitting each row in order.
+        The bulk path of :meth:`submit`: one width and 0/1 value check
+        for the array, then per-row routing identical to submitting each
+        row in order.
         """
-        X = np.asarray(X, dtype=np.uint8)
-        if X.ndim != 2 or X.shape[1] != self.pool.engine.n_features:
+        if np.ndim(X) != 2:
             raise ValueError(
                 f"expected (n, {self.pool.engine.n_features}) samples, "
-                f"got {X.shape}"
+                f"got {np.shape(X)}"
             )
+        X = check_features(X, self.pool.engine.n_features)
         if keys is not None and len(keys) != len(X):
             raise ValueError("keys must match X row for row")
         if tenants is not None and len(tenants) != len(X):

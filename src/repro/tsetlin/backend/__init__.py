@@ -9,12 +9,7 @@ hot path (see ``benchmarks/test_train_throughput.py``).
 """
 
 from .base import BACKENDS, TMBackend, make_backend, register_backend
-from .packed import (
-    pack_include,
-    pack_not_literals,
-    packed_class_sums,
-    packed_clause_outputs,
-)
+from .packed import packed_clause_outputs
 from .reference import ReferenceBackend
 from .vectorized import VectorizedBackend
 
@@ -25,8 +20,5 @@ __all__ = [
     "register_backend",
     "ReferenceBackend",
     "VectorizedBackend",
-    "pack_include",
-    "pack_not_literals",
-    "packed_class_sums",
     "packed_clause_outputs",
 ]

@@ -16,7 +16,7 @@ Two implementations ship:
   a given seed; the semantic baseline.
 * :class:`~repro.tsetlin.backend.vectorized.VectorizedBackend` — keeps the
   include matrix (bool + bit-packed) incrementally in sync with the
-  automaton states, evaluates clauses with ``np.packbits``-packed bitwise
+  automaton states, evaluates clauses with uint64-word-packed bitwise
   ops, touches only the clause rows selected by feedback, and skips the
   RNG stream past draws that masked-out clauses never consume.  Produces
   bit-identical trained state to the reference backend at a fraction of
@@ -107,34 +107,6 @@ class TMBackend:
         the generated accelerator.
         """
         raise NotImplementedError
-
-    def packed_class_sums(self, L, weights):
-        """Class sums ``(samples, classes)`` via the bit-packed kernel.
-
-        The fast inference path shared by every backend: the include
-        matrix is packed (``np.packbits``) and each clause/sample
-        evaluation is a byte AND + any-reduction, exactly the dense
-        semantics with empty clauses pruned.  ``weights`` is the
-        ``(classes, clauses)`` vote-weight matrix (alternating polarity
-        for vanilla machines, learned weights for coalesced ones, which
-        pass their single shared bank against all classes' weights).
-        Backends that already hold packed includes override this to skip
-        the re-pack.
-        """
-        from .packed import pack_include, pack_not_literals, packed_class_sums
-
-        inc_packed, nonempty = pack_include(self.includes())
-        return packed_class_sums(
-            pack_not_literals(literal_matrix(L)), inc_packed, nonempty, weights
-        )
-
-    def packed_predict(self, L, weights):
-        """Predicted class per sample from :meth:`packed_class_sums`.
-
-        Ties break toward the lower class index (``np.argmax``), matching
-        the generated argmax comparison tree.
-        """
-        return np.argmax(self.packed_class_sums(L, weights), axis=1)
 
     def patch_match(self, class_index, patch_literals, lit_index=None):
         """Convolutional clause/patch satisfaction ``(patches, clauses)``.

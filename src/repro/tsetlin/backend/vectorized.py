@@ -42,7 +42,6 @@ from .base import TMBackend, literal_matrix, register_backend
 from .packed import (
     pack_not_literal_words,
     pack_words,
-    packed_class_sums,
     packed_clause_outputs,
 )
 
@@ -216,11 +215,6 @@ class VectorizedBackend(TMBackend):
         nlw = pack_not_literal_words(literal_matrix(L))  # (n, W)
         nonempty = self._active if empty_output == 0 else None
         return packed_clause_outputs(nlw, self._incw, nonempty)
-
-    def packed_class_sums(self, L, weights):
-        # Reuses the incrementally maintained include words — no re-pack.
-        nlw = pack_not_literal_words(literal_matrix(L))
-        return packed_class_sums(nlw, self._incw, self._active, weights)
 
     def patch_match(self, class_index, patch_literals, lit_index=None):
         nl = self._not_literal_words(patch_literals, lit_index)  # (P, W)

@@ -74,9 +74,6 @@ class CoalescedTsetlinMachine(InferenceMixin):
     def vote_weights(self):
         return self.weights
 
-    def _flat_literals(self, X):
-        return literals_from_features(self._check_features(X)).astype(bool)
-
     # ------------------------------------------------------------------
     def _update_for_class(self, literals, cls, is_target, lit_index=None):
         """CoTM update of the shared pool and one class's weights.

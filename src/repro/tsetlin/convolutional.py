@@ -29,7 +29,30 @@ from .backend import make_backend
 from .inference import InferenceMixin
 from .rng import NumpyRandom
 
-__all__ = ["ConvolutionalTsetlinMachine"]
+__all__ = ["ConvolutionalTsetlinMachine", "patch_features"]
+
+
+def patch_features(X, image_shape, patch_shape, coord_bits):
+    """Patch feature tensor ``(n, patches, n_patch_features)``.
+
+    ``X`` is a validated ``(n, image_h * image_w)`` uint8 batch.  Each
+    ``patch_shape`` window contributes its pixels (row-major) followed by
+    its thermometer row/col coordinates ``coord_bits[p]``.  The machine
+    and the serving engine both build their patch literals from this.
+    """
+    image_h, image_w = image_shape
+    patch_h, patch_w = patch_shape
+    imgs = X.reshape(-1, image_h, image_w)
+    n = len(imgs)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        imgs, (patch_h, patch_w), axis=(1, 2)
+    )  # (n, rows, cols, ph, pw)
+    n_patches = len(coord_bits)
+    pixels = windows.reshape(n, n_patches, patch_h * patch_w)
+    coords = np.broadcast_to(
+        coord_bits[np.newaxis], (n, n_patches, coord_bits.shape[1])
+    )
+    return np.concatenate([pixels, coords], axis=2)
 
 
 class ConvolutionalTsetlinMachine(InferenceMixin):
@@ -103,17 +126,9 @@ class ConvolutionalTsetlinMachine(InferenceMixin):
 
     def _patches(self, X):
         """Extract patch feature matrices: (n, P, n_patch_features)."""
-        X = self._check_features(X)
-        imgs = X.reshape(-1, self.image_h, self.image_w)
-        n = len(imgs)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            imgs, (self.patch_h, self.patch_w), axis=(1, 2)
-        )  # (n, rows, cols, ph, pw)
-        pixels = windows.reshape(n, self.n_patches, self.patch_h * self.patch_w)
-        coords = np.broadcast_to(
-            self._coord_bits[np.newaxis], (n, self.n_patches, self._coord_bits.shape[1])
-        )
-        return np.concatenate([pixels, coords], axis=2)
+        return patch_features(self._check_features(X),
+                              (self.image_h, self.image_w),
+                              (self.patch_h, self.patch_w), self._coord_bits)
 
     def _patch_literals(self, patches):
         """(n, P, 2f) literal matrix from patch features."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["InferenceMixin", "argmax_lowest"]
+__all__ = ["InferenceMixin", "argmax_lowest", "check_features"]
 
 
 def argmax_lowest(class_sums):
@@ -33,6 +33,27 @@ def argmax_lowest(class_sums):
     generated argmax comparison tree) explicit and testable in one place.
     """
     return np.argmax(class_sums, axis=1)
+
+
+def check_features(X, n_features):
+    """Validate and normalize ``X`` to ``(samples, n_features)`` uint8.
+
+    Any value other than 0 or 1 raises: cast to uint8, a ``2`` would
+    expand to the literal pair ``(2, 255)`` and read as true in both
+    halves, silently disagreeing with the dense reference semantics.
+    """
+    X = np.asarray(X)
+    if X.ndim == 1:
+        X = X[np.newaxis, :]
+    if X.shape[1] != n_features:
+        raise ValueError(
+            f"expected {n_features} boolean features, got {X.shape[1]}"
+        )
+    U = X.astype(np.uint8, copy=False)
+    exact = X.dtype in (np.bool_, np.uint8) or np.array_equal(U, X)
+    if not exact or U.max(initial=0) > 1:
+        raise ValueError("features must be 0 or 1")
+    return U
 
 
 class InferenceMixin:
@@ -47,25 +68,7 @@ class InferenceMixin:
         raise NotImplementedError
 
     def _check_features(self, X):
-        """Validate and normalize ``X`` to ``(samples, n_features)`` uint8."""
-        X = np.asarray(X, dtype=np.uint8)
-        if X.ndim == 1:
-            X = X[np.newaxis, :]
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} boolean features, got {X.shape[1]}"
-            )
-        return X
-
-    def _flat_literals(self, X):
-        """Literal matrix ``(samples, 2f)`` for the packed fast path.
-
-        ``None`` (the default) means the machine's clause semantics are
-        not a flat literal AND (convolutional patch-OR machines), so the
-        packed backend route does not apply and :meth:`packed_class_sums`
-        falls back to :meth:`class_sums`.
-        """
-        return None
+        return check_features(X, self.n_features)
 
     def class_sums(self, X, empty_output=0):
         """Vote totals ``(samples, classes)`` int32.
@@ -81,22 +84,10 @@ class InferenceMixin:
             return out[:, 0, :] @ weights.T
         return np.einsum("nck,ck->nc", out, weights)
 
-    def packed_class_sums(self, X):
-        """Class sums via the backend's bit-packed kernel (bit-identical
-        with :meth:`class_sums` under the hardware empty-clause pruning)."""
-        L = self._flat_literals(X)
-        if L is None:
-            return self.class_sums(X)
-        return self.backend.packed_class_sums(L, self.vote_weights())
-
     def predict(self, X):
-        """Predicted class index per sample (ties toward lower index).
-
-        Routed through the packed fast path; the dense semantic
-        definition is ``argmax_lowest(self.class_sums(X))``, which the
-        packed kernels reproduce bit for bit.
-        """
-        return argmax_lowest(self.packed_class_sums(X))
+        """Predicted class index per sample: ``argmax_lowest`` of
+        :meth:`class_sums` (ties toward the lower index)."""
+        return argmax_lowest(self.class_sums(X))
 
     def evaluate(self, X, y):
         """Classification accuracy on ``(X, y)``."""

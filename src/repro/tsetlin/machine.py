@@ -151,9 +151,6 @@ class TsetlinMachine(InferenceMixin):
     def vote_weights(self):
         return np.tile(self.polarity, (self.n_classes, 1)).astype(np.int32)
 
-    def _flat_literals(self, X):
-        return literals_from_features(self._check_features(X)).astype(bool)
-
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------

@@ -40,6 +40,17 @@ class TestSemantics:
         # clause 1 is empty -> always 0
         assert out[:, 0, 1].tolist() == [0, 0, 0]
 
+    def test_non_binary_features_rejected(self):
+        # A 2 cast to uint8 would read true in both literal halves.
+        inc = np.zeros((2, 1, 4), dtype=bool)
+        inc[0, 0, 0] = True
+        inc[1, 0, 2] = True
+        m = TMModel(include=inc, n_features=2, weights=[[1], [1]])
+        for bad in ([[2, 0]], [[-1, 0]], [[0.5, 1]]):
+            with pytest.raises(ValueError, match="0 or 1"):
+                m.class_sums(bad)
+        assert m.class_sums([[True, False]]).tolist() == [[1, 0]]
+
     def test_class_sums_polarity(self):
         inc = np.zeros((1, 4, 4), dtype=bool)
         inc[0, 0, 0] = True  # +1 clause: x0

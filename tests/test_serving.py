@@ -5,6 +5,7 @@ import pytest
 
 from _fixtures import random_model
 from repro.accelerator import AcceleratorConfig, generate_accelerator
+from repro.model import TMModel
 from repro.obs import MetricsRegistry
 from repro.serving import (
     Batcher,
@@ -12,9 +13,11 @@ from repro.serving import (
     DifferentialChecker,
     DifferentialMismatch,
     FabricTicket,
+    Gateway,
     InferenceEngine,
     ModelNotFound,
     Registry,
+    ReplicaPool,
     snapshot_engine,
 )
 from repro.simulator import CompiledNetlist
@@ -22,6 +25,11 @@ from repro.tsetlin import (
     CoalescedTsetlinMachine,
     ConvolutionalTsetlinMachine,
     TsetlinMachine,
+)
+from repro.tsetlin.backend.packed import (
+    pack_not_literal_words,
+    pack_words,
+    packed_clause_outputs,
 )
 
 
@@ -107,6 +115,71 @@ class TestInferenceEngine:
         with pytest.raises(ValueError, match="banks"):
             InferenceEngine(model.include[:2], np.ones((5, model.n_clauses)),
                             model.n_features)
+
+    @pytest.mark.parametrize("n_features", [31, 32, 33, 64, 65])
+    def test_word_boundary_widths_match_dense_model(self, n_features):
+        """Literal rows that straddle or exactly fill uint64 words.
+
+        Each half of the literal vector has its last literal included, so
+        the final word's pad bits sit next to a live bit.
+        """
+        rng = np.random.default_rng(n_features)
+        include = rng.random((3, 6, 2 * n_features)) < 0.04
+        include[:, ::2, n_features - 1] = True        # last feature x_{f-1}
+        include[:, 1::2, 2 * n_features - 1] = True   # last NOT x_{f-1}
+        model = TMModel(include=include, n_features=n_features)
+        X = (rng.random((50, n_features)) < 0.5).astype(np.uint8)
+        expected = model.class_sums(X)
+        assert np.array_equal(InferenceEngine.from_model(model).class_sums(X),
+                              expected)
+        tm = TsetlinMachine(3, n_features, n_clauses=6, seed=0,
+                            backend="vectorized")
+        N = tm.team.n_states
+        tm.team.state[...] = np.where(include, N + 1, N)
+        tm.backend.sync()
+        assert np.array_equal(tm.class_sums(X), expected)
+
+    def test_packed_kernel_rejects_byte_operands(self):
+        include = np.eye(4, dtype=bool)
+        L = np.ones((2, 4), dtype=bool)
+        with pytest.raises(ValueError, match="uint64"):
+            packed_clause_outputs(np.packbits(~L, axis=-1),
+                                  np.packbits(include, axis=-1))
+        with pytest.raises(ValueError, match="uint64"):
+            packed_clause_outputs(np.packbits(~L, axis=-1),
+                                  pack_words(include))
+        assert packed_clause_outputs(pack_not_literal_words(L),
+                                     pack_words(include)).all()
+
+    def test_non_binary_features_rejected_everywhere(self):
+        include = np.zeros((2, 1, 4), dtype=bool)
+        include[0, 0, 0] = True
+        include[1, 0, 2] = True
+        model = TMModel(include=include, n_features=2, weights=[[1], [1]])
+        tm = TsetlinMachine(2, 2, n_clauses=2, T=2, seed=0,
+                            backend="vectorized")
+        bad = [[2, 0]]
+        for serve in (InferenceEngine.from_model(model).class_sums,
+                      model.class_sums, tm.class_sums, tm.predict):
+            with pytest.raises(ValueError, match="0 or 1"):
+                serve(bad)
+
+    def test_gateway_rejects_non_binary_at_submit(self):
+        engine = InferenceEngine.from_model(random_model(seed=0))
+        X = np.zeros((2, engine.n_features), dtype=np.uint8)
+        X[1, 3] = 2
+        with ReplicaPool(engine, n_replicas=1, mode="process") as pool:
+            gateway = Gateway(pool, max_batch=4)
+            with pytest.raises(ValueError, match="0 or 1"):
+                gateway.submit(X[1])
+            with pytest.raises(ValueError, match="0 or 1"):
+                gateway.submit_many(X)
+            assert gateway.pending == 0
+            ticket = gateway.submit(X[0])
+            gateway.flush()
+            assert ticket.prediction == engine.predict(X[:1])[0]
+            assert all(entry["healthy"]
+                       for entry in gateway.health_check().values())
 
     def test_engine_include_is_frozen(self):
         eng = InferenceEngine.from_model(random_model(seed=1))
