@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .factor import factor_cubes
 
 __all__ = ["HCBInfo", "build_hcbs"]
@@ -78,7 +80,6 @@ def build_hcbs(nl, model, schedule, data_bus, packet_enables, config):
         raise ValueError("data bus width mismatch with schedule")
 
     include = model.include  # (C, K, 2f)
-    n_features = model.n_features
 
     # clause_state[c][k]: net holding the clause value after the most recent
     # HCB that owns includes of the clause.  Starts as constant 1 (the
@@ -111,26 +112,11 @@ def build_hcbs(nl, model, schedule, data_bus, packet_enables, config):
         info = HCBInfo(index=p, feature_lo=lo, feature_hi=hi, block_label=label)
         en = packet_enables[p]
         with nl.block(label):
-            # Literal nets per clause for this packet's feature window.
-            cube_index = {}   # (c, k) -> position in `cubes`
-            cubes = []
-            for c in range(model.n_classes):
-                for k in range(model.n_clauses):
-                    row = include[c, k]
-                    terms = []
-                    for f in range(lo, hi):
-                        lane = f - lo
-                        if row[f]:  # plain literal x_f
-                            terms.append(data_bus[lane])
-                        if row[n_features + f]:  # negated literal ~x_f
-                            terms.append(nl.g_not(data_bus[lane]))
-                    if terms:
-                        cube_index[(c, k)] = len(cubes)
-                        cubes.append(terms)
-                        info.n_active_clauses += 1
-                        info.n_include_terms += len(terms)
-                    else:
-                        info.n_passthrough_clauses += 1
+            cube_index, cubes = _literal_cubes(nl, include, lo, hi, data_bus)
+            info.n_active_clauses = len(cubes)
+            info.n_include_terms = sum(map(len, cubes))
+            info.n_passthrough_clauses = (model.n_classes * model.n_clauses
+                                          - len(cubes))
 
             partial_nets = _build_partials(nl, cubes, config)
 
@@ -150,6 +136,35 @@ def build_hcbs(nl, model, schedule, data_bus, packet_enables, config):
         infos.append(info)
 
     return clause_state, infos
+
+
+def _literal_cubes(nl, include, lo, hi, data_bus):
+    """Literal nets of every clause with includes in features ``[lo, hi)``.
+
+    Returns ``(cube_index, cubes)``: one list of literal nets per such
+    clause, and ``cube_index[(c, k)]`` its position in ``cubes``.  Code
+    bit 0 includes ``x_f`` and bit 1 ``~x_f``; ``nonzero`` walks clauses
+    in (class, clause) order and each clause's features in ascending
+    order, so the literal nets (and the netlist) come out in the order of
+    a plain per-feature loop.
+    """
+    n_features = include.shape[2] // 2
+    codes = (include[:, :, lo:hi].view(np.uint8)
+             | include[:, :, n_features + lo:n_features + hi].view(np.uint8) << 1)
+    hits = np.nonzero(codes)
+    cube_index = {}
+    cubes = []
+    for c, k, lane, code in zip(*(a.tolist() for a in hits),
+                                codes[hits].tolist()):
+        if (c, k) not in cube_index:
+            cube_index[(c, k)] = len(cubes)
+            terms = []
+            cubes.append(terms)
+        if code & 1:  # plain literal x_f
+            terms.append(data_bus[lane])
+        if code & 2:  # negated literal ~x_f
+            terms.append(nl.g_not(data_bus[lane]))
+    return cube_index, cubes
 
 
 def _build_partials(nl, cubes, config):

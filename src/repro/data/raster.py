@@ -9,9 +9,20 @@ lines, ellipses, filled rectangles and soft blobs, all vectorized numpy.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["Canvas"]
+
+
+@lru_cache(maxsize=None)
+def _grid(height, width):
+    """Read-only float ``(yy, xx)`` pixel coordinates, one pair per size."""
+    yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
+    yy.setflags(write=False)
+    xx.setflags(write=False)
+    return yy, xx
 
 
 class Canvas:
@@ -26,9 +37,7 @@ class Canvas:
         self.height = int(height)
         self.width = int(width)
         self.pixels = np.zeros((self.height, self.width), dtype=np.float64)
-        yy, xx = np.mgrid[0 : self.height, 0 : self.width]
-        self._yy = yy.astype(np.float64)
-        self._xx = xx.astype(np.float64)
+        self._yy, self._xx = _grid(self.height, self.width)
 
     def _accumulate(self, mask, intensity):
         np.maximum(self.pixels, mask * intensity, out=self.pixels)

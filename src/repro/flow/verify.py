@@ -10,6 +10,11 @@ Three independent checks gate a generated design:
    a codegen/emitter bug cannot pass.
 3. **Timing protocol**: measured first-result latency, initiation
    interval and AXI beat counts must match the analytic latency model.
+
+The design's netlist is compiled once; all three checks run on that one
+:class:`~repro.simulator.core.CompiledNetlist`, each resetting it to the
+lane count it needs.  Only the reparsed netlist gets a compile of its
+own.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from ..rtl.parser import parse_verilog
 from ..rtl.verilog import emit_verilog
 from ..simulator.core import CompiledNetlist
 from ..simulator.design_sim import AcceleratorSimulator
-from ..simulator.testbench import build_testbench
+from ..simulator.testbench import Testbench
 
 __all__ = ["VerificationReport", "verify_design", "netlists_equivalent"]
 
@@ -52,25 +57,39 @@ class VerificationReport:
         )
 
 
+def _compiled(net, batch):
+    """``net`` as a :class:`CompiledNetlist` of ``batch`` lanes, reusing
+    (and resetting) one that is already compiled."""
+    if isinstance(net, CompiledNetlist):
+        net.reset(batch=batch)
+        return net
+    return CompiledNetlist(net, batch=batch)
+
+
 def netlists_equivalent(a, b, n_cycles=64, seed=0, batch=16):
     """Randomized sequential equivalence check between two netlists.
 
     Drives identical random stimulus into both and compares every output
     every cycle, as packed lane words.  Inputs are matched by name; both
-    netlists must expose the same input and output sets.
+    netlists must expose the same input and output sets.  Either side may
+    be a :class:`CompiledNetlist`, which is reset and run instead of
+    compiling the netlist again.
     """
+    sim_a = _compiled(a, batch)
+    sim_b = _compiled(b, batch)
+    a, b = sim_a.netlist, sim_b.netlist
     if set(a.inputs) != set(b.inputs) or set(a.outputs) != set(b.outputs):
         return False
-    sim_a = CompiledNetlist(a, batch=batch)
-    sim_b = CompiledNetlist(b, batch=batch)
+    inputs = list(a.inputs)
     out_a = list(a.outputs.values())
     out_b = [b.outputs[name] for name in a.outputs]
     rng = np.random.default_rng(seed)
     for _ in range(n_cycles):
-        for name in a.inputs:
-            value = rng.integers(0, 2, size=batch).astype(np.uint8)
-            sim_a.set_input(name, value)
-            sim_b.set_input(name, value)
+        # One (inputs, batch) draw is the same stimulus as one draw of
+        # `batch` values per input in turn.
+        values = rng.integers(0, 2, size=(len(inputs), batch)).astype(np.uint8)
+        sim_a.set_inputs(inputs, values)
+        sim_b.set_inputs(inputs, values)
         if not np.array_equal(sim_a.packed(out_a), sim_b.packed(out_b)):
             return False
         sim_a.clock()
@@ -98,7 +117,8 @@ def verify_design(design, X=None, n_random_vectors=32, roundtrip_cycles=48,
             )
         )
     stimulus = np.concatenate(vectors, axis=0)
-    sim = AcceleratorSimulator(design, batch=len(stimulus))
+    compiled = CompiledNetlist(design.netlist)
+    sim = AcceleratorSimulator(design, batch=len(stimulus), compiled=compiled)
     report = sim.run_batch(stimulus)
     sw = design.model.predict(stimulus)
     functional_ok = bool(np.array_equal(report.predictions, sw))
@@ -110,14 +130,14 @@ def verify_design(design, X=None, n_random_vectors=32, roundtrip_cycles=48,
     src = emit_verilog(design.netlist)
     reparsed = parse_verilog(src)
     roundtrip_ok = netlists_equivalent(
-        design.netlist, reparsed, n_cycles=roundtrip_cycles, seed=seed
+        compiled, reparsed, n_cycles=roundtrip_cycles, seed=seed
     )
     if not roundtrip_ok:
         notes.append("verilog round-trip mismatch")
 
     # --- protocol/timing ------------------------------------------------------
     tb_vectors = stimulus[: min(4, len(stimulus))]
-    tb_report = build_testbench(design, tb_vectors).run()
+    tb_report = Testbench(design, tb_vectors, compiled=compiled).run()
     protocol_ok = tb_report.passed
     if not protocol_ok:
         notes.append(f"testbench: {tb_report.summary()}")

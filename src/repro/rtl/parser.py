@@ -40,46 +40,49 @@ class VerilogSyntaxError(ValueError):
     """Raised when the source deviates from the emitted subset."""
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<comment>//[^\n]*|\(\*.*?\*\))
-  | (?P<bit>1'b[01])
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9$]*)
-  | (?P<number>\d+)
-  | (?P<punct><=|[()\[\]{},;:=&|^~?@.])
-  | (?P<ws>\s+)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+_COMMENT = r"//[^\n]*|\(\*.*?\*\)"
+_TOKEN = r"1'b[01]|[A-Za-z_][A-Za-z_0-9$]*|\d+|<=|[()\[\]{},;:=&|^~?@.]"
+# One lexeme (whitespace, comment or token), with only a token captured:
+# whitespace and comments match with group 1 empty.
+_LEXEME_RE = re.compile(rf"\s+|{_COMMENT}|({_TOKEN})", re.DOTALL)
+# The source language: a run of lexemes, each one exactly what
+# ``_LEXEME_RE.match`` takes at its offset (the atomic group forbids
+# backtracking into it, so a comment cannot stretch past its first
+# ``*)`` to hide text the scanner would reject).
+_SOURCE_RE = re.compile(rf"(?:(?>\s+|{_COMMENT}|{_TOKEN}))*+", re.DOTALL)
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# peek() looks at most this far past the current token.
+_LOOKAHEAD = 3
 
 
 def _tokenize(src):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            raise VerilogSyntaxError(
-                f"cannot tokenize at offset {pos}: {src[pos:pos + 30]!r}"
-            )
-        pos = m.end()
-        if m.lastgroup in ("ws", "comment"):
-            continue
-        tokens.append(m.group())
-    return tokens
+    """The source's tokens, in two C-level passes: validate, then find.
+
+    ``_SOURCE_RE`` stops exactly where a lexeme-by-lexeme scan would
+    first fail, so a source it does not cover raises with that offset.
+    ``findall`` skips what it cannot match, so it runs only once the
+    whole source has been validated.
+    """
+    end = _SOURCE_RE.match(src).end()
+    if end != len(src):
+        raise VerilogSyntaxError(
+            f"cannot tokenize at offset {end}: {src[end:end + 30]!r}"
+        )
+    return list(filter(None, _LEXEME_RE.findall(src)))
 
 
 class _Cursor:
+    """Token cursor; ``None`` sentinels past the end stand for end of input."""
+
     def __init__(self, tokens):
-        self.tokens = tokens
+        self.tokens = tokens + [None] * (_LOOKAHEAD + 1)
         self.i = 0
 
     def peek(self, ahead=0):
-        j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else None
+        return self.tokens[self.i + ahead]
 
     def next(self):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok is None:
             raise VerilogSyntaxError("unexpected end of input")
         self.i += 1
@@ -103,13 +106,13 @@ class _Parser:
         self.input_bits = []      # flat bit names in port order
         self.output_bits = []
         self.wires = {}           # name -> expr AST
-        self.regs = {}            # name -> dict(d, en, rst, init)
+        self.regs = {}            # name -> dict(init[, d, en, rst])
         self.out_drivers = {}     # output bit name -> expr AST
 
     # -- lexical helpers ---------------------------------------------------
     def _signal_name(self):
         name = self.cur.next()
-        if not re.match(r"^[A-Za-z_]", name):
+        if name[0] not in _IDENT_START:
             raise VerilogSyntaxError(f"expected identifier, got {name!r}")
         if self.cur.peek() == "[":
             self.cur.next()
@@ -117,6 +120,12 @@ class _Parser:
             self.cur.expect("]")
             return f"{name}[{idx}]"
         return name
+
+    def _int(self):
+        tok = self.cur.next()
+        if not tok.isdigit():
+            raise VerilogSyntaxError(f"expected a number, got {tok!r}")
+        return int(tok)
 
     def _atom(self):
         tok = self.cur.peek()
@@ -154,9 +163,9 @@ class _Parser:
             width = None
             if self.cur.peek() == "[":
                 self.cur.next()
-                hi = int(self.cur.next())
+                hi = self._int()
                 self.cur.expect(":")
-                lo = int(self.cur.next())
+                lo = self._int()
                 self.cur.expect("]")
                 if lo != 0:
                     raise VerilogSyntaxError("bus ranges must end at 0")
@@ -173,6 +182,8 @@ class _Parser:
             self.cur.expect(")")
             break
         self.cur.expect(";")
+        self.inputs = set(self.input_bits)
+        self.outputs = set(self.output_bits)
         while self.cur.peek() != "endmodule":
             self._item()
         self.cur.expect("endmodule")
@@ -190,26 +201,23 @@ class _Parser:
             self.cur.expect("=")
             init = self.cur.expect("1'b0", "1'b1")
             self.cur.expect(";")
-            self.regs[name] = {
-                "d": ("const", 0),
-                "en": ("const", 1),
-                "rst": ("const", 0),
-                "init": 1 if init == "1'b1" else 0,
-            }
+            self.regs[name] = {"init": 1 if init == "1'b1" else 0}
         elif tok == "assign":
             self.cur.next()
             target = self._signal_name()
             self.cur.expect("=")
             expr = self._expr()
             self.cur.expect(";")
-            if target in self.output_bits:
-                self.out_drivers[target] = expr
-            elif target in self.wires:
+            if target in self.inputs:
+                raise VerilogSyntaxError(f"input {target!r} cannot be assigned")
+            drivers = self.out_drivers if target in self.outputs else self.wires
+            if target in drivers:
                 raise VerilogSyntaxError(f"signal {target!r} assigned twice")
-            else:
-                self.wires[target] = expr
+            drivers[target] = expr
         elif tok == "always":
             self._always()
+        elif tok is None:
+            raise VerilogSyntaxError("unexpected end of input")
         else:
             raise VerilogSyntaxError(f"unexpected token {tok!r}")
 
@@ -281,6 +289,8 @@ class _Parser:
 
         if name not in self.regs:
             raise VerilogSyntaxError(f"always block drives undeclared reg {name!r}")
+        if "d" in self.regs[name]:
+            raise VerilogSyntaxError(f"register {name!r} assigned twice")
         self.regs[name].update(d=d, en=en, rst=rst)
 
     # -- pass 2: lower onto a netlist ----------------------------------------
@@ -324,6 +334,10 @@ class _Parser:
             return net
 
         for name, info in self.regs.items():
+            if "d" not in info:
+                raise VerilogSyntaxError(f"register {name!r} never driven")
+            if name in self.wires:
+                raise VerilogSyntaxError(f"register {name!r} assigned twice")
             nid = env[name]
             node = nl.nodes[nid]
             node.fanins = (
@@ -339,5 +353,17 @@ class _Parser:
 
 
 def parse_verilog(src):
-    """Parse emitted Verilog back into a :class:`Netlist`."""
+    """Parse emitted Verilog back into a :class:`Netlist`.
+
+    Raises :class:`VerilogSyntaxError` on any source outside the emitted
+    subset.  A round trip keeps the netlist's behaviour:
+
+    >>> from repro.flow.verify import netlists_equivalent
+    >>> from repro.rtl import Netlist, emit_verilog
+    >>> nl = Netlist("demo")
+    >>> a, b = nl.add_input("a"), nl.add_input("b")
+    >>> nl.set_output("y", nl.g_not(nl.g_and(a, b)))
+    >>> netlists_equivalent(nl, parse_verilog(emit_verilog(nl)))
+    True
+    """
     return _Parser(src).collect().lower()

@@ -199,6 +199,13 @@ class CompiledNetlist:
             self._state[:, nid] = _ONES if value & 1 else 0
             self._dirty = True
 
+    def set_inputs(self, names, bits):
+        """Drive scalar inputs from ``(len(names), batch)`` 0/1 rows in one
+        packed write."""
+        ids = np.array([self._input_ids[name] for name in names],
+                       dtype=np.int64)
+        self._drive(ids, np.asarray(bits).reshape(len(ids), self.batch) & 1)
+
     def set_bus(self, name, value):
         """Drive a bus input ``name[i]`` from integer word(s).
 

@@ -68,13 +68,23 @@ class AcceleratorSimulator:
         The row count :meth:`run_batch` must be given, or ``None``
         (default) to let every run take its lane count from ``X``.  The
         one compiled program serves any width either way.
+    compiled:
+        A :class:`~repro.simulator.core.CompiledNetlist` of
+        ``design.netlist`` to run on (it is reset), or ``None`` (default)
+        to compile one.
     """
 
-    def __init__(self, design, batch=None):
+    def __init__(self, design, batch=None, compiled=None):
         self.design = design
         self.batch = None if batch is None else int(batch)
-        self.sim = CompiledNetlist(design.netlist,
-                                   batch=1 if batch is None else batch)
+        lanes = 1 if batch is None else batch
+        if compiled is None:
+            compiled = CompiledNetlist(design.netlist, batch=lanes)
+        elif compiled.netlist is not design.netlist:
+            raise ValueError("compiled netlist is not the design's netlist")
+        else:
+            compiled.reset(batch=lanes)
+        self.sim = compiled
 
     # ------------------------------------------------------------------
     def run_batch(self, X, extra_cycles=8):

@@ -65,19 +65,26 @@ class TestbenchReport:
 
 
 class Testbench:
-    """A runnable, self-checking testbench bound to one design."""
+    """A runnable, self-checking testbench bound to one design.
 
-    def __init__(self, design, X, y=None):
+    ``compiled`` is an optional
+    :class:`~repro.simulator.core.CompiledNetlist` of the design's
+    netlist that :meth:`run` drives (one lane) instead of compiling its
+    own.
+    """
+
+    def __init__(self, design, X, y=None, compiled=None):
         X = np.asarray(X, dtype=np.uint8)
         if X.ndim == 1:
             X = X[np.newaxis, :]
         self.design = design
         self.X = X
         self.y = np.asarray(y) if y is not None else None
+        self.compiled = compiled
 
     def run(self):
         design = self.design
-        sim = AcceleratorSimulator(design, batch=1)
+        sim = AcceleratorSimulator(design, batch=1, compiled=self.compiled)
         netlist = design.netlist
         ila = ILACore(
             sim.sim,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.model import TMModel
+from repro.rtl.parser import _LEXEME_RE, VerilogSyntaxError
 
 
 def random_model(n_classes=3, n_clauses=8, n_features=24, density=0.12,
@@ -26,3 +27,24 @@ def random_model(n_classes=3, n_clauses=8, n_features=24, density=0.12,
     neg &= ~both
     include = np.concatenate([pos, neg], axis=2)
     return TMModel(include=include, n_features=n_features, name=name)
+
+
+def scan_lexemes(src):
+    """Reference tokenizer: one ``re.match`` per lexeme.
+
+    The parser's one-pass scanner before it became a validating
+    ``match`` plus a ``findall``; the tests check that both give the same
+    tokens, and the same error offset on a source that does not scan.
+    """
+    tokens = []
+    pos = 0
+    while pos < len(src):
+        m = _LEXEME_RE.match(src, pos)
+        if not m:
+            raise VerilogSyntaxError(
+                f"cannot tokenize at offset {pos}: {src[pos:pos + 30]!r}"
+            )
+        pos = m.end()
+        if m.group(1):
+            tokens.append(m.group(1))
+    return tokens

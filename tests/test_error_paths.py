@@ -76,6 +76,17 @@ class TestEquivalenceChecker:
         b.set_output("o", b.dff(xb, init=1))
         assert not netlists_equivalent(a, b, n_cycles=4)
 
+    def test_input_less_netlists_compared(self):
+        """A free-running register chain has no input to drive."""
+        def chain(init):
+            nl = Netlist("chain")
+            r0 = nl.dff(nl.const(0), init=init)
+            nl.set_output("o", nl.dff(r0, init=1))
+            return nl
+
+        assert netlists_equivalent(chain(1), chain(1), n_cycles=4)
+        assert not netlists_equivalent(chain(1), chain(0), n_cycles=4)
+
 
 class TestCliErrors:
     def test_unknown_dataset_rejected_by_argparse(self):

@@ -12,6 +12,7 @@ from repro.flow import FlowConfig, MatadorFlow, verify_design
 from repro.flow.cli import main
 from repro.flow.deploy import deployment_report, generate_host_driver, write_bundle
 from repro.obs import MetricsRegistry, set_registry
+from repro.rtl.verilog import emit_verilog
 from repro.synthesis import implement_design
 from _fixtures import random_model
 
@@ -167,13 +168,24 @@ class TestGoldenFlow:
     The backend-equivalence suite proves reference and vectorized agree;
     this pin proves neither moved.  A training change meant to be
     bit-identical must leave all four figures alone; a change that moves
-    them on purpose updates them here.
+    them on purpose updates them here.  The emitted Verilog text and the
+    synthetic dataset bytes are pinned too, so a faster generator, parser
+    or raster cannot move them unnoticed.
     """
 
     FLOW = dict(dataset="mnist", clauses_per_class=40, epochs=4,
                 verify_samples=64, data_seed=0)
     INCLUDE_SHA256 = (
         "890ea11d8306548c7cc6d62fbb8a8ad8055d569dfc5a4eefc123c2a1bc1c7a4d"
+    )
+    VERILOG_SHA256 = (
+        "a35d5f71584b17ee525c136eb4b0fc6a57cfb6cbd29e79038259c2e0aa3710d8"
+    )
+    X_TRAIN_SHA256 = (
+        "09522450e50f6ec3151e794b3854a1f5eef24731269dbd7d78107526fd1e45ae"
+    )
+    X_TEST_SHA256 = (
+        "c3eee931d4b3b8d73e811edb93fbe8e72f35800434e46b1e2414a92897d89fc6"
     )
 
     def test_flow_mnist_seed0_is_pinned(self):
@@ -187,6 +199,17 @@ class TestGoldenFlow:
         assert result.implementation.resources.luts == 6679
         assert result.design.latency.latency_cycles == 16
         assert result.verification.passed
+        verilog = emit_verilog(result.design.netlist)
+        assert hashlib.sha256(verilog.encode()).hexdigest() == (
+            self.VERILOG_SHA256
+        )
+        ds = result.dataset
+        assert hashlib.sha256(ds.X_train.tobytes()).hexdigest() == (
+            self.X_TRAIN_SHA256
+        )
+        assert hashlib.sha256(ds.X_test.tobytes()).hexdigest() == (
+            self.X_TEST_SHA256
+        )
 
 
 class TestModelFamilies:
@@ -248,6 +271,26 @@ class TestVerifyDesign:
         design = generate_accelerator(tiny_model, AcceleratorConfig(bus_width=8))
         report = verify_design(design, n_random_vectors=12)
         assert report.passed, report.summary()
+
+    def test_compiles_each_netlist_once(self, tiny_model, monkeypatch):
+        """The design's netlist serves all three checks; only the
+        reparsed netlist needs a compile of its own."""
+        from repro.simulator.core import CompiledNetlist
+
+        compiled = []
+        init = CompiledNetlist.__init__
+
+        def counting_init(self, netlist, *args, **kwargs):
+            compiled.append(netlist)
+            init(self, netlist, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledNetlist, "__init__", counting_init)
+        design = generate_accelerator(tiny_model, AcceleratorConfig(bus_width=8))
+        report = verify_design(design, n_random_vectors=12)
+        assert report.passed, report.summary()
+        assert len(compiled) == 2
+        assert compiled[0] is design.netlist
+        assert compiled[1] is not design.netlist
 
     def test_detects_sabotaged_output(self, tiny_model):
         design = generate_accelerator(tiny_model, AcceleratorConfig(bus_width=8))

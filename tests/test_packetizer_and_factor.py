@@ -196,3 +196,42 @@ def test_netlist_independent_of_hash_seed():
         netlists.append(json.loads(proc.stdout))
     assert len(netlists[0]) > 1000
     assert netlists[0] == netlists[1]
+
+
+def _loop_literal_cubes(nl, include, lo, hi, data_bus):
+    """The per-feature loop ``_literal_cubes`` replaced (the reference)."""
+    n_classes, n_clauses, width = include.shape
+    n_features = width // 2
+    cube_index, cubes = {}, []
+    for c in range(n_classes):
+        for k in range(n_clauses):
+            row = include[c, k]
+            terms = []
+            for f in range(lo, hi):
+                if row[f]:
+                    terms.append(data_bus[f - lo])
+                if row[n_features + f]:
+                    terms.append(nl.g_not(data_bus[f - lo]))
+            if terms:
+                cube_index[(c, k)] = len(cubes)
+                cubes.append(terms)
+    return cube_index, cubes
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), share=st.booleans(),
+       density=st.sampled_from([0.0, 0.05, 0.3, 0.9]))
+def test_literal_cubes_match_the_feature_loop(seed, share, density):
+    from repro.accelerator.hcb import _literal_cubes
+    from repro.rtl import Netlist, bus_input
+
+    rng = np.random.default_rng(seed)
+    include = rng.random((3, 5, 2 * 12)) < density  # x_f and ~x_f may mix
+    lo, hi = sorted(rng.integers(0, 13, size=2).tolist())
+    built = []
+    for collect in (_literal_cubes, _loop_literal_cubes):
+        nl = Netlist("cubes", share=share)
+        bus = bus_input(nl, "d", 12)
+        cubes = collect(nl, include, lo, hi, list(bus)[: hi - lo])
+        built.append((cubes, [(n.kind, n.fanins) for n in nl.nodes]))
+    assert built[0] == built[1]

@@ -20,9 +20,11 @@ from repro.accelerator.packetizer import packetize
 from repro.flow.verify import netlists_equivalent
 from repro.rtl import Netlist, emit_verilog, optimize, parse_verilog
 from repro.rtl.netlist import GATE_KINDS
+from repro.rtl.parser import _tokenize
 from repro.simulator.core import CompiledNetlist
 from repro.synthesis import map_greedy
 from _fixtures import random_model
+from _fixtures import scan_lexemes
 
 
 @st.composite
@@ -159,3 +161,10 @@ class TestStallCorrectness:
         sim = AcceleratorSimulator(design, batch=1)
         report = sim.run_stream(X, gap=3)
         assert np.array_equal(report.predictions, model.predict(X))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nl=netlists())
+def test_two_pass_tokens_equal_the_scanner_property(nl):
+    src = emit_verilog(nl)
+    assert _tokenize(src) == scan_lexemes(src)

@@ -14,6 +14,8 @@ from repro.rtl import (
     subtract,
 )
 from repro.rtl.parser import VerilogSyntaxError
+from repro.rtl.parser import _tokenize
+from _fixtures import scan_lexemes
 
 
 def small_design(share=True):
@@ -171,3 +173,101 @@ class TestParserErrors:
         )
         nl = parse_verilog(src)
         assert nl.register_count() == 1
+
+
+def _module(body, ports="input  wire a,\n    output wire y"):
+    return f"module m (\n    {ports}\n);\n{body}endmodule\n"
+
+
+class TestParserRejectsOutsideSubset:
+    """Sources the emitter never writes must raise, not parse quietly."""
+
+    def test_output_assigned_twice(self):
+        src = _module("  assign y = a;\n  assign y = ~a;\n")
+        with pytest.raises(VerilogSyntaxError, match="assigned twice"):
+            parse_verilog(src)
+
+    def test_input_assigned(self):
+        src = _module("  assign a = 1'b1;\n  assign y = a;\n")
+        with pytest.raises(VerilogSyntaxError, match="input 'a'"):
+            parse_verilog(src)
+
+    def test_register_without_always_block(self):
+        src = _module("  reg r = 1'b1;\n  assign y = r;\n",
+                      ports="input  wire clk,\n    output wire y")
+        with pytest.raises(VerilogSyntaxError, match="never driven"):
+            parse_verilog(src)
+
+    def test_register_also_assigned(self):
+        src = _module(
+            "  reg r = 1'b0;\n  assign r = a;\n"
+            "  always @(posedge clk) begin\n    r <= a;\n  end\n"
+            "  assign y = r;\n",
+            ports="input  wire clk,\n    input  wire a,\n    output wire y")
+        with pytest.raises(VerilogSyntaxError, match="assigned twice"):
+            parse_verilog(src)
+
+    def test_non_numeric_bus_range(self):
+        src = _module("  assign y = a[0];\n",
+                      ports="input  wire [x:0] a,\n    output wire y")
+        with pytest.raises(VerilogSyntaxError, match="expected a number"):
+            parse_verilog(src)
+
+    def test_truncated_input_reports_end_of_input(self):
+        src = emit_verilog(small_design())
+        with pytest.raises(VerilogSyntaxError,
+                           match="unexpected end of input"):
+            parse_verilog(src[: src.rindex("endmodule")])
+
+    def test_garbage_reports_its_offset(self):
+        with pytest.raises(VerilogSyntaxError,
+                           match="cannot tokenize at offset 25: '%%% endmodule'"):
+            parse_verilog("module m (input wire a); %%% endmodule")
+
+    def test_comment_cannot_hide_garbage(self):
+        src = emit_verilog(small_design())
+        head, tail = src.split("\n", 1)
+        bad = f"{head} (* a *)\n%\n// (* b *)\n{tail}"
+        with pytest.raises(VerilogSyntaxError, match="cannot tokenize"):
+            parse_verilog(bad)
+
+
+def _emitted_netlists():
+    """Every netlist shape this module round-trips."""
+    yield small_design()
+    yield small_design(share=False)
+    for en, rst, init in ((False, False, 1), (True, False, 0),
+                          (False, True, 1), (False, False, 0)):
+        nl = Netlist("regs")
+        a = nl.add_input("a")
+        kwargs = {"init": init}
+        if en:
+            kwargs["en"] = nl.add_input("en")
+        if rst:
+            kwargs["rst"] = nl.add_input("rst")
+        nl.set_output("o", nl.dff(a, **kwargs))
+        yield nl
+    nl = Netlist("comb")
+    nl.set_output("o", nl.g_not(nl.add_input("a")))
+    yield nl
+
+
+class TestTokenizer:
+    @pytest.mark.parametrize("nl", list(_emitted_netlists()))
+    def test_two_pass_tokens_equal_the_scanner(self, nl):
+        src = emit_verilog(nl)
+        assert _tokenize(src) == scan_lexemes(src)
+
+    @pytest.mark.parametrize("bad", [
+        "module m (input wire a); %%% endmodule",
+        "module m (* a *) # (* b *)",
+        "(* never closed",
+        "  \n\t`",
+        "a 1'b2",
+    ])
+    def test_error_offset_equals_the_scanner(self, bad):
+        with pytest.raises(VerilogSyntaxError) as want:
+            scan_lexemes(bad)
+        with pytest.raises(VerilogSyntaxError) as got:
+            _tokenize(bad)
+        assert str(got.value) == str(want.value)
