@@ -19,10 +19,10 @@ This backend removes all three while staying **bit-identical** with
   plus a reduction (a clause fails iff any included literal is 0, i.e.
   iff ``include & ~literals`` has any set bit), with clause rows whose
   include mask is empty skipped entirely via an active-clause index;
-* Type I feedback draws only the uniform rows belonging to selected
-  clauses and *skips* the RNG stream past the rest (``TMRandom.skip`` —
-  O(log n) for PCG64's ``advance``), leaving the generator in exactly the
-  state the reference's full-block draw would.
+* Type I feedback generates only the uniform rows of selected clauses
+  through ``TMRandom.random_rows``, which skips the stream past every
+  other row (O(log n) for PCG64's ``advance``) and leaves the generator
+  in exactly the state the reference's full-block draw would.
 
 ``team.state`` is always live: callers may read it mid-fit with no extra
 step.  :meth:`sync` rebuilds the include caches from ``state > N`` after
@@ -253,48 +253,6 @@ class VectorizedBackend(TMBackend):
             self._base_ver[class_index] = ver
             log.clear()
 
-    def _draw_rows(self, rng, rows, n_clauses, n_literals):
-        """Uniform draws for ``rows`` of a ``(n_clauses, n_literals)`` block.
-
-        Consumes the RNG stream exactly as ``rng.random((n_clauses,
-        n_literals))`` would — unused rows are skipped, not generated — so
-        every subsequent draw matches the reference backend's.
-        """
-        R = len(rows)
-        if R == n_clauses or not hasattr(rng, "skip"):
-            draws = rng.random((n_clauses, n_literals))
-            return draws if R == n_clauses else draws[rows]
-        first = int(rows[0])
-        last = int(rows[-1])
-        span = last - first + 1
-        runs = 1 + int(np.count_nonzero(np.diff(rows) > 1)) if R > 1 else 1
-        # Each rng call costs ~µs while generating a row costs ~ns·F; draw
-        # run-by-run only when the pattern is sparse enough that the extra
-        # calls beat materializing the unused rows inside the span.
-        if runs * 4 > span:
-            if first > 0:
-                rng.skip(first * n_literals)
-            block = rng.random((span, n_literals))
-            if last + 1 < n_clauses:
-                rng.skip((n_clauses - 1 - last) * n_literals)
-            return block if R == span else block[rows - first]
-        out = np.empty((R, n_literals))
-        pos = 0
-        i = 0
-        while i < R:
-            j = i
-            while j + 1 < R and rows[j + 1] == rows[j] + 1:
-                j += 1
-            start, stop = int(rows[i]), int(rows[j]) + 1
-            if start > pos:
-                rng.skip((start - pos) * n_literals)
-            out[i : j + 1] = rng.random((stop - start, n_literals))
-            pos = stop
-            i = j + 1
-        if pos < n_clauses:
-            rng.skip((n_clauses - pos) * n_literals)
-        return out
-
     def apply_type_i(self, class_index, clause_mask, outputs, literals, s,
                      rng, boost_true_positive=False, always_draw=False):
         _, n_clauses, n_literals = self.team.shape
@@ -304,7 +262,7 @@ class VectorizedBackend(TMBackend):
                 rng.skip(n_clauses * n_literals)
             return
         rows = np.flatnonzero(clause_mask)
-        draws = self._draw_rows(rng, rows, n_clauses, n_literals)
+        draws = rng.random_rows(rows, n_clauses, n_literals)
 
         lit = literal_matrix(literals)
         lit = lit[np.newaxis, :] if lit.ndim == 1 else lit[rows]

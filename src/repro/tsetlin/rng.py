@@ -7,20 +7,27 @@ symbiotic xorshift generators) study hardware-friendly generators for on-chip
 training.  This module provides software models of both, plus a thin adapter
 so the trainer can also consume a ``numpy.random.Generator`` directly.
 
-All generators expose the same two methods used by the trainer:
+All generators expose the same methods used by the trainer:
 
 ``random(shape)``
     Uniform floats in ``[0, 1)`` with the given shape.
 ``bernoulli(p, shape)``
     Boolean array of the given shape, ``True`` with probability ``p``.
+``integers(low, high)``
+    One integer drawn uniformly from ``[low, high)``.
 ``skip(n)``
-    Advance the stream past ``n`` draws without materializing them.  The
-    vectorized training backend uses this to stay bit-identical with the
-    reference per-sample update (which draws a full ``(clauses, literals)``
-    block) while only generating the rows that masked clauses actually
-    consume.  Generators that can jump (PCG64 via ``advance``, the
-    cyclostationary bank via its stride) do so in O(1)/O(log n); the base
-    implementation falls back to draw-and-discard.
+    Advance the stream past ``n`` draws without materializing them.
+    Generators that can jump (PCG64 via ``advance``, the cyclostationary
+    bank via its stride) do so in O(1)/O(log n); the base implementation
+    falls back to draw-and-discard.
+``random_rows(rows, n_rows, n_cols)``
+    The selected ``rows`` of a ``(n_rows, n_cols)`` uniform block,
+    generating only those rows and skipping the rest, so the stream ends
+    where ``random((n_rows, n_cols))`` would leave it.  Type I feedback
+    draws through this: the reference trainer consumes a full
+    ``(clauses, literals)`` block per event, while the vectorized
+    backend needs only the rows of selected clauses and stays
+    bit-identical with it.
 """
 
 from __future__ import annotations
@@ -60,6 +67,50 @@ class TMRandom:
         n = int(n)
         if n > 0:
             self.random((n,))
+
+    def random_rows(self, rows, n_rows, n_cols):
+        """Return ``random((n_rows, n_cols))[rows]``, generating only ``rows``.
+
+        ``rows`` are strictly increasing indices into ``range(n_rows)``.
+        Each run of consecutive rows costs one ``random`` call; the rows
+        before, between and after the runs are skipped, so the stream ends
+        where the full block draw would leave it.
+
+        >>> import numpy as np
+        >>> from repro.tsetlin.rng import make_rng
+        >>> full_rng, rows_rng = make_rng(seed=7), make_rng(seed=7)
+        >>> full = full_rng.random((6, 3))
+        >>> picked = rows_rng.random_rows([1, 2, 4], 6, 3)
+        >>> np.array_equal(picked, full[[1, 2, 4]])
+        True
+        >>> np.array_equal(rows_rng.random((2,)), full_rng.random((2,)))
+        True
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        out = np.empty((len(rows), n_cols))
+        pos = 0
+        for first, lo, hi in _row_runs(rows.tolist()):
+            self.skip((first - pos) * n_cols)
+            out[lo:hi] = self.random((hi - lo, n_cols))
+            pos = first + hi - lo
+        self.skip((n_rows - pos) * n_cols)
+        return out
+
+
+def _row_runs(rows):
+    """``(first_row, lo, hi)`` for each run of consecutive values in ``rows``.
+
+    ``rows[lo:hi]`` is the run; ``rows`` is a sorted list of ints.
+    """
+    runs = []
+    lo = 0
+    for i in range(1, len(rows)):
+        if rows[i] != rows[i - 1] + 1:
+            runs.append((rows[lo], lo, i))
+            lo = i
+    if rows:
+        runs.append((rows[lo], lo, len(rows)))
+    return runs
 
 
 class NumpyRandom(TMRandom):

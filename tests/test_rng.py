@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tsetlin.rng import (
     CyclostationaryRandom,
@@ -106,6 +108,36 @@ class TestFactory:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_rng("quantum")
+
+
+@st.composite
+def _row_blocks(draw):
+    """A block shape and a sorted row subset of it (none and all included)."""
+    n_rows = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 6))
+    rows = sorted(draw(st.sets(st.integers(0, n_rows - 1))))
+    return rows, n_rows, n_cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["numpy", "xorshift", "cyclostationary"]),
+       block=_row_blocks(), seed=st.integers(1, 2**32),
+       after_integers=st.booleans())
+def test_random_rows_equals_the_full_block_slice(kind, block, seed,
+                                                 after_integers):
+    """``random_rows`` returns the full block's rows and leaves the stream
+    where the full block draw would, also with PCG64's spare 32-bit half
+    buffered by a preceding ``integers()`` call."""
+    rows, n_rows, n_cols = block
+    full_rng, rows_rng = make_rng(kind, seed=seed), make_rng(kind, seed=seed)
+    if after_integers:
+        assert full_rng.integers(0, 7) == rows_rng.integers(0, 7)
+    full = full_rng.random((n_rows, n_cols))
+    got = rows_rng.random_rows(rows, n_rows, n_cols)
+    assert got.shape == (len(rows), n_cols)
+    assert np.array_equal(got, full[rows])
+    assert rows_rng.integers(0, 1000) == full_rng.integers(0, 1000)
+    assert np.array_equal(rows_rng.random((3,)), full_rng.random((3,)))
 
 
 class TestTrainingWithHardwareRngs:

@@ -1,22 +1,24 @@
 """RNG stream-skipping edge cases of the vectorized backend.
 
-The vectorized backend's Type I path draws only the uniform rows of
-selected clauses and *skips* the stream past the rest, promising the
-exact stream position the reference backend's full-block draw leaves.
-The equivalence suite exercises this only through whole training runs;
-these tests pin the edge cases of ``_draw_rows``/``apply_type_i``
-directly, pairing a reference and a vectorized backend on identical
-automata and asserting, per scenario:
+The vectorized backend's Type I path draws the uniform rows of selected
+clauses through ``TMRandom.random_rows``, which generates only those
+rows and skips the stream past the rest, promising the exact stream
+position the reference backend's full-block draw leaves.  The
+equivalence suite exercises this only through whole training runs;
+these tests pin the edge cases of ``apply_type_i`` directly, pairing a
+reference and a vectorized backend on identical automata and asserting,
+per scenario:
 
 * identical post-feedback automaton states,
 * identical RNG stream position (the next draw matches bit for bit).
 
 Covered: zero-clause selection (with and without the convolutional
-``always_draw`` convention), all-clauses-selected (the full-block path),
-single rows at every boundary, dense spans (block-draw-then-slice path),
-scattered sparse rows (run-by-run skip path), generators without
-O(log n) ``advance`` (draw-and-discard fallback), and automata pinned at
-the ``1`` / ``2N`` clip bounds.
+``always_draw`` convention), all clauses selected (one run covering the
+whole block), single rows at every boundary, nearby rows with short
+gaps, scattered rows (one run per row), generators whose ``skip`` is
+draw-and-discard (xorshift) or a stride jump (cyclostationary), the
+number of uniforms one event generates, and automata pinned at the
+``1`` / ``2N`` clip bounds.
 """
 
 import numpy as np
@@ -118,7 +120,7 @@ class TestMaskPatterns:
     @pytest.mark.parametrize("rng_kind", ["numpy", "xorshift",
                                           "cyclostationary"])
     def test_all_clauses_selected(self, rng_kind):
-        """Full mask: the vectorized path must take the full-block draw."""
+        """Full mask: one run of rows that covers the whole block."""
         ref, vec, rngs = _apply_both(np.ones(N_CLAUSES, dtype=bool),
                                      rng_kind=rng_kind)
         _assert_equivalent(ref, vec, rngs)
@@ -132,16 +134,16 @@ class TestMaskPatterns:
         _assert_equivalent(ref, vec, rngs)
 
     def test_dense_span_path(self):
-        """Nearby rows (runs * 4 > span): one block draw, sliced."""
+        """Nearby rows: two runs separated by a one-row gap."""
         mask = np.zeros(N_CLAUSES, dtype=bool)
-        mask[[3, 4, 6, 7]] = True  # span 5, 2 runs -> block path
+        mask[[3, 4, 6, 7]] = True  # runs 3-4 and 6-7
         ref, vec, rngs = _apply_both(mask)
         _assert_equivalent(ref, vec, rngs)
 
     def test_scattered_sparse_path(self):
-        """Far-apart rows (runs * 4 <= span): run-by-run skip path."""
+        """Far-apart rows: one run per row, a skip before each."""
         mask = np.zeros(N_CLAUSES, dtype=bool)
-        mask[[0, 5, 10, 15]] = True  # span 16, 4 runs -> run-by-run
+        mask[[0, 5, 10, 15]] = True  # four one-row runs
         ref, vec, rngs = _apply_both(mask)
         _assert_equivalent(ref, vec, rngs)
 
@@ -160,12 +162,51 @@ class TestMaskPatterns:
 
     @pytest.mark.parametrize("rng_kind", ["xorshift", "cyclostationary"])
     def test_sparse_rows_without_pcg_advance(self, rng_kind):
-        """Generators whose skip() is draw-and-discard must still land on
-        the same stream position as the reference full-block draw."""
+        """Generators without PCG64's ``advance`` (xorshift draws and
+        discards, the cyclostationary bank jumps by its stride) must still
+        land on the same stream position as the reference full-block
+        draw."""
         mask = np.zeros(N_CLAUSES, dtype=bool)
         mask[[2, 13]] = True
         ref, vec, rngs = _apply_both(mask, rng_kind=rng_kind)
         _assert_equivalent(ref, vec, rngs)
+
+
+class _CountingGenerator:
+    """A ``numpy.random.Generator`` proxy counting the floats it makes."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.generated = 0
+
+    def random(self, size=None):
+        self.generated += int(np.prod(size))
+        return self._gen.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+class TestGeneratedUniforms:
+    """Type I feedback generates one uniform per literal of each selected
+    row and skips the rest of the block, however the rows are spread."""
+
+    @pytest.mark.parametrize("rows", [[0, 2, 4, 6], [3, 5, 6, 9, 12],
+                                      [1, 14], [N_CLAUSES - 1]])
+    def test_scattered_rows_generate_only_their_uniforms(self, rows):
+        mask = np.zeros(N_CLAUSES, dtype=bool)
+        mask[rows] = True
+        ref, vec = _paired_backends(seed=5)
+        lit = _literals(seed=6)
+        outputs = vec.bank_outputs(0, lit)
+        rng_ref = make_rng("numpy", seed=99)
+        rng_vec = make_rng("numpy", seed=99)
+        counter = _CountingGenerator(rng_vec._gen)
+        rng_vec._gen = counter
+        ref.apply_type_i(0, mask, outputs, lit, 3.9, rng_ref)
+        vec.apply_type_i(0, mask, outputs, lit, 3.9, rng_vec)
+        assert counter.generated == len(rows) * N_LITERALS
+        _assert_equivalent(ref, vec, [rng_ref, rng_vec])
 
 
 # ----------------------------------------------------------------------
