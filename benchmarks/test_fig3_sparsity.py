@@ -28,6 +28,7 @@ def test_fig3_sparsity_and_sharing(benchmark):
                 "Duplicate instances": sharing.duplicate_instances,
                 "Clause sharing (%)": round(100 * sharing.full_clause_sharing_ratio, 2),
                 "Literal overlap": round(sharing.pairwise_literal_overlap, 4),
+                "Shared literal pairs": sharing.shared_literal_pairs,
             }
         )
         # The paper's sparsity claim: includes are a small fraction of the

@@ -93,19 +93,6 @@ class ClauseExpression:
         row[list(self.literals)] = True
         return row
 
-    def restricted_to(self, lo, hi):
-        """Sub-clause over literals whose *feature* index is in ``[lo, hi)``.
-
-        This is exactly the partial clause a Hard-Coded Clause Block
-        computes for the packet carrying features ``lo..hi-1``.
-        """
-        keep = [
-            lit
-            for lit in self.literals
-            if lo <= (lit if lit < self.n_features else lit - self.n_features) < hi
-        ]
-        return ClauseExpression(keep, self.n_features)
-
     # ------------------------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, ClauseExpression):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import expressions_from_model, shared_expression_pool
+from .expressions import shared_expression_pool
 
 __all__ = [
     "ActiveClauseIndex",
@@ -33,6 +33,9 @@ __all__ = [
     "analyze_sparsity",
     "analyze_sharing",
 ]
+
+# Bytes of one float64 row block of :func:`_pairwise_overlap`'s Gram matrix.
+OVERLAP_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -65,8 +68,11 @@ class SharingReport:
     """Expression-sharing statistics of a model.
 
     ``pairwise_literal_overlap`` is the mean Jaccard overlap between the
-    literal sets of distinct non-empty clauses — the raw material synthesis
+    literal sets of two non-empty clauses, exact over all unordered pairs
+    of the model's non-empty clauses — the raw material synthesis
     logic-absorption exploits even when full clauses are not identical.
+    ``shared_literal_pairs`` counts the pairs with at least one common
+    literal.
     """
 
     distinct_expressions: int
@@ -208,10 +214,7 @@ class ActiveClauseIndex:
 def analyze_sparsity(model):
     """Compute a :class:`SparsityReport` for a :class:`repro.model.TMModel`."""
     counts = model.includes_per_clause()
-    exprs = expressions_from_model(model)
-    contradictory = sum(
-        1 for row in exprs for e in row if not e.is_empty and e.is_contradictory()
-    )
+    inc, f = model.include, model.n_features
     return SparsityReport(
         n_classes=model.n_classes,
         n_clauses=model.n_clauses,
@@ -222,37 +225,47 @@ def analyze_sparsity(model):
         includes_per_clause_mean=float(counts.mean()),
         includes_per_clause_max=int(counts.max()),
         empty_clauses=int(model.empty_clause_mask().sum()),
-        contradictory_clauses=contradictory,
+        # A clause holding both x_j and ~x_j never fires.
+        contradictory_clauses=int((inc[..., :f] & inc[..., f:]).any(axis=2).sum()),
         per_class_density=[float(model.include[c].mean()) for c in range(model.n_classes)],
     )
 
 
-def _pairwise_overlap(model, max_pairs=20000, seed=7):
-    """Mean Jaccard overlap of literal sets over sampled clause pairs."""
+def _pairwise_overlap(model):
+    """Exact mean Jaccard overlap and shared-literal pair count over all
+    unordered pairs of non-empty clauses, from a float32 Gram matrix taken
+    in row blocks of about :data:`OVERLAP_BLOCK_BYTES` (never ``(n, n)``).
+    Intersections are small integers, exact in float32; the division and
+    the sum run in float64.
+    """
     inc = model.include.reshape(-1, model.n_literals)
-    nonempty = np.flatnonzero(inc.any(axis=1))
-    if len(nonempty) < 2:
+    active = inc[inc.any(axis=1)].astype(np.float32)
+    n = active.shape[0]
+    if n < 2:
         return 0.0, 0
-    rng = np.random.default_rng(seed)
-    n = len(nonempty)
-    n_pairs = min(max_pairs, n * (n - 1) // 2)
-    ii = rng.integers(0, n, size=n_pairs)
-    jj = rng.integers(0, n, size=n_pairs)
-    keep = ii != jj
-    if not keep.any():
-        return 0.0, 0
-    ii, jj = nonempty[ii[keep]], nonempty[jj[keep]]
-    a = inc[ii]
-    b = inc[jj]
-    inter = np.logical_and(a, b).sum(axis=1).astype(np.float64)
-    union = np.logical_or(a, b).sum(axis=1).astype(np.float64)
-    jac = np.where(union > 0, inter / union, 0.0)
-    shared_pairs = int(np.count_nonzero(inter > 0))
-    return float(jac.mean()), shared_pairs
+    sizes = active.sum(axis=1, dtype=np.float64)
+    block = max(1, OVERLAP_BLOCK_BYTES // (8 * n))
+    total, shared = 0.0, 0
+    for a in range(0, n - 1, block):
+        # Row i = a + r of the block against every clause j: keep j > i.
+        inter = np.triu(active[a:a + block] @ active.T, k=a + 1).astype(np.float64)
+        total += float((inter / (sizes[a:a + block, None] + sizes - inter)).sum())
+        shared += int(np.count_nonzero(inter))
+    return total / (n * (n - 1) // 2), shared
 
 
 def analyze_sharing(model, top_k=10):
-    """Compute a :class:`SharingReport` for a :class:`repro.model.TMModel`."""
+    """Compute a :class:`SharingReport` for a :class:`repro.model.TMModel`.
+
+    >>> import numpy as np
+    >>> from repro.model import TMModel
+    >>> include = np.zeros((1, 3, 4), dtype=bool)  # literals x0 x1 ~x0 ~x1
+    >>> include[0, 0, [0, 1]] = True; include[0, 1, 0] = True
+    >>> include[0, 2, 1] = True  # x0 & x1, x0, x1: Jaccard 1/2, 1/2 and 0
+    >>> rep = analyze_sharing(TMModel(include=include, n_features=2))
+    >>> rep.shared_literal_pairs, round(rep.pairwise_literal_overlap, 4)
+    (2, 0.3333)
+    """
     pool = shared_expression_pool(model)
     total_nonempty = sum(len(v) for v in pool.values())
     duplicated = {e: locs for e, locs in pool.items() if len(locs) > 1}

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.model import TMModel
 from repro.model.expressions import (
@@ -55,14 +53,6 @@ class TestClauseExpression:
         assert a == b
         assert len({a, b}) == 1
 
-    def test_restricted_to(self):
-        # literals: x0, x3, ~x1 over 4 features
-        e = ClauseExpression([0, 3, 5], n_features=4)
-        low = e.restricted_to(0, 2)   # features 0..1 -> x0, ~x1
-        high = e.restricted_to(2, 4)  # features 2..3 -> x3
-        assert low.literals == (0, 5)
-        assert high.literals == (3,)
-
 
 class TestFormatting:
     def test_format(self):
@@ -104,29 +94,3 @@ class TestModelViews:
     def test_pool_skips_empty(self):
         m = TMModel(include=np.zeros((1, 3, 4), dtype=bool), n_features=2)
         assert shared_expression_pool(m) == {}
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    lits=st.lists(st.integers(0, 15), max_size=8),
-    split=st.integers(1, 7),
-    x=st.lists(st.integers(0, 1), min_size=8, max_size=8),
-)
-def test_partial_clause_product_property(lits, split, x):
-    """The AND of the packet-restricted sub-clauses equals the full clause.
-
-    This is the invariant the HCB architecture relies on (Fig. 5): partial
-    clause outputs accumulated across packets reproduce the monolithic
-    clause.
-    """
-    expr = ClauseExpression(lits, n_features=8)
-    if expr.is_empty:
-        return
-    low = expr.restricted_to(0, split)
-    high = expr.restricted_to(split, 8)
-    full = expr.evaluate(x)
-    parts = 1
-    for sub in (low, high):
-        if not sub.is_empty:
-            parts &= sub.evaluate(x)
-    assert parts == full

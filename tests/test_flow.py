@@ -199,6 +199,12 @@ class TestGoldenFlow:
         assert result.implementation.resources.luts == 6679
         assert result.design.latency.latency_cycles == 16
         assert result.verification.passed
+        sharing = result.sharing  # exact over all C(395, 2) = 77,815 pairs
+        assert sharing.total_nonempty_clauses == 395
+        assert sharing.shared_literal_pairs == 19866
+        assert sharing.pairwise_literal_overlap == pytest.approx(
+            0.0080089144306, abs=1e-12
+        )
         verilog = emit_verilog(result.design.netlist)
         assert hashlib.sha256(verilog.encode()).hexdigest() == (
             self.VERILOG_SHA256

@@ -1,6 +1,9 @@
 """Tests for sparsity/sharing analysis and the external-model importer."""
 
+import itertools
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from repro.model import (
     import_bit_matrix,
     import_model,
     import_state_dump,
+    sparsity,
 )
+from repro.model.expressions import expressions_from_model
 from repro.model.importer import ImportError_
 from _fixtures import random_model
 
@@ -36,6 +41,22 @@ class TestSparsityReport:
         inc[0, 0, 4] = True  # x0 & ~x0
         m = TMModel(include=inc, n_features=4)
         assert analyze_sparsity(m).contradictory_clauses == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_contradictory_matches_expression_count(self, seed):
+        rng = np.random.default_rng(seed)
+        f = 16
+        inc = rng.random((3, 12, 2 * f)) < 0.08
+        cls, k = np.nonzero(rng.random((3, 12)) < 0.3)
+        j = rng.integers(0, f, size=len(cls))
+        inc[cls, k, j] = True
+        inc[cls, k, f + j] = True  # plant x_j & ~x_j
+        m = TMModel(include=inc, n_features=f)
+        expected = sum(
+            e.is_contradictory() for row in expressions_from_model(m) for e in row
+        )
+        assert expected >= len(cls)
+        assert analyze_sparsity(m).contradictory_clauses == expected
 
     def test_per_class_density(self):
         m = random_model(n_classes=3, seed=11)
@@ -75,6 +96,84 @@ class TestSharingReport:
         m = random_model(density=0.3, seed=4)
         rep = analyze_sharing(m)
         assert rep.pairwise_literal_overlap > 0.0
+
+
+def brute_force_overlap(include):
+    """Mean Jaccard overlap and shared pair count, one clause pair at a time."""
+    rows = [set(np.flatnonzero(r)) for r in include.reshape(-1, include.shape[-1])]
+    pairs = list(itertools.combinations([r for r in rows if r], 2))
+    if not pairs:
+        return 0.0, 0
+    jaccard = math.fsum(len(a & b) / len(a | b) for a, b in pairs)
+    return jaccard / len(pairs), sum(1 for a, b in pairs if a & b)
+
+
+class TestPairwiseOverlap:
+    """The overlap is exact over all pairs, in one block or many."""
+
+    @staticmethod
+    def check(include, n_features):
+        rep = analyze_sharing(TMModel(include=include, n_features=n_features))
+        mean, shared = brute_force_overlap(include)
+        assert rep.shared_literal_pairs == shared
+        assert rep.pairwise_literal_overlap == pytest.approx(mean, abs=1e-12)
+        return rep
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 2, 5])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force(self, seed, block_rows, monkeypatch):
+        rng = np.random.default_rng(seed)
+        f = int(rng.integers(3, 20))
+        density = rng.uniform(0.02, 0.4)
+        include = rng.random((int(rng.integers(1, 4)), 9, 2 * f)) < density
+        include[0, 0] = include[0, 1]  # a duplicate pair
+        if block_rows is not None:  # shrink the budget to a few rows a block
+            n = int(include.any(axis=2).sum())
+            monkeypatch.setattr(sparsity, "OVERLAP_BLOCK_BYTES", 8 * n * block_rows)
+        self.check(include, f)
+
+    def test_many_blocks_at_the_default_budget(self):
+        rng = np.random.default_rng(3)
+        include = rng.random((4, 150, 80)) < 0.05
+        n = int(include.any(axis=2).sum())
+        block = sparsity.OVERLAP_BLOCK_BYTES // (8 * n)
+        assert -(-(n - 1) // block) >= 3
+        self.check(include, 40)
+
+    @pytest.mark.parametrize("n_active", [0, 1])
+    def test_fewer_than_two_clauses(self, n_active):
+        include = np.zeros((2, 3, 8), dtype=bool)
+        include[1, 2, :n_active] = True
+        rep = analyze_sharing(TMModel(include=include, n_features=4))
+        assert (rep.pairwise_literal_overlap, rep.shared_literal_pairs) == (0.0, 0)
+
+    def test_identical_clauses_overlap_fully(self):
+        include = np.zeros((2, 4, 10), dtype=bool)
+        include[..., [1, 3, 8]] = True
+        rep = self.check(include, 5)
+        assert rep.pairwise_literal_overlap == 1.0
+        assert rep.shared_literal_pairs == 8 * 7 // 2
+
+    def test_disjoint_clauses_share_nothing(self):
+        include = np.zeros((3, 4, 24), dtype=bool)
+        include.reshape(12, 24)[np.arange(12), 2 * np.arange(12)] = True
+        rep = self.check(include, 12)
+        assert (rep.pairwise_literal_overlap, rep.shared_literal_pairs) == (0.0, 0)
+
+    def test_peak_memory_is_a_few_megabytes(self):
+        # mnist-sized model, about 28 includes per clause: 400 active
+        # clauses and 79,800 pairs.  The bound holds only if no array of
+        # (pairs, literals) size is ever built.
+        rng = np.random.default_rng(0)
+        include = rng.random((10, 40, 1568)) < 28 / 1568
+        m = TMModel(include=include, n_features=784)
+        tracemalloc.start()
+        try:
+            analyze_sharing(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"analyze_sharing peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestImporter:
