@@ -129,7 +129,7 @@ def _served_model(seed=9):
     X = (protos[y] ^ (rng.random((80, N_FEATURES)) < 0.05)).astype(np.uint8)
     tm = TsetlinMachine(N_CLASSES, N_FEATURES, n_clauses=N_CLAUSES, T=12,
                         s=5.0, seed=seed, backend="vectorized")
-    tm.fit(X, y, epochs=2, track_metrics=False)
+    tm.fit(X, y, epochs=2)
     return tm.export_model("serve_bench")
 
 
@@ -152,7 +152,7 @@ def test_serve_throughput_and_differential():
     sy = small_rng.integers(0, 3, 96)
     small = TsetlinMachine(3, 20, n_clauses=8, T=5, seed=4,
                            backend="vectorized")
-    small.fit(sX, sy, epochs=2, track_metrics=False)
+    small.fit(sX, sy, epochs=2)
     smodel = small.export_model("serve_diff")
     design = generate_accelerator(smodel, AcceleratorConfig(name="serve_diff"))
 

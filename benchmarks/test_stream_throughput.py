@@ -82,8 +82,7 @@ def _updates_per_sec(ds, backend):
 def _detection_delay(ds):
     """Delay (samples) between induced abrupt drift and detector firing."""
     machine = _make_machine(ds, "vectorized")
-    machine.fit(ds.X_train, ds.y_train, epochs=2, shuffle=False,
-                track_metrics=False)
+    machine.fit(ds.X_train, ds.y_train, epochs=2, shuffle=False)
     stream = DriftStream(
         ReplayStream(ds, batch_size=BATCH_SIZE, n_samples=4 * DRIFT_AT,
                      seed=SEED + 1),

@@ -18,7 +18,7 @@ from .coalesced import CoalescedTsetlinMachine
 from .convolutional import ConvolutionalTsetlinMachine
 from .feedback import clause_outputs, type_i_feedback, type_ii_feedback
 from .inference import InferenceMixin, argmax_lowest
-from .machine import TrainingLog, TsetlinMachine
+from .machine import MachineBase, TsetlinMachine
 from .search import SearchPoint, SearchResult, search_clause_budget
 from .rng import (
     CyclostationaryRandom,
@@ -46,7 +46,7 @@ __all__ = [
     "type_ii_feedback",
     "InferenceMixin",
     "argmax_lowest",
-    "TrainingLog",
+    "MachineBase",
     "TsetlinMachine",
     "CyclostationaryRandom",
     "NumpyRandom",

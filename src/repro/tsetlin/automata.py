@@ -19,7 +19,7 @@ __all__ = ["AutomataTeam"]
 
 
 class AutomataTeam:
-    """A team of Tsetlin Automata with vectorized state transitions.
+    """A team of Tsetlin Automata: the int16 state array the backends update.
 
     Parameters
     ----------
@@ -71,28 +71,6 @@ class AutomataTeam:
     def include_fraction(self):
         """Fraction of automata in the include action (model density)."""
         return self.include_count() / self.state.size
-
-    # ------------------------------------------------------------------
-    # Transitions
-    # ------------------------------------------------------------------
-    def reinforce(self, delta):
-        """Apply a signed transition array and clamp to the state bounds.
-
-        ``delta`` is broadcast against the state array; positive entries move
-        automata toward include, negative toward exclude.
-        """
-        self.state += np.asarray(delta, dtype=np.int16)
-        np.clip(self.state, 1, 2 * self.n_states, out=self.state)
-
-    def step_up(self, mask):
-        """Move the automata selected by the boolean ``mask`` one state up."""
-        np.add(self.state, 1, out=self.state, where=np.asarray(mask, dtype=bool))
-        np.clip(self.state, 1, 2 * self.n_states, out=self.state)
-
-    def step_down(self, mask):
-        """Move the automata selected by ``mask`` one state down."""
-        np.subtract(self.state, 1, out=self.state, where=np.asarray(mask, dtype=bool))
-        np.clip(self.state, 1, 2 * self.n_states, out=self.state)
 
     # ------------------------------------------------------------------
     # Serialization helpers

@@ -17,14 +17,12 @@ import numpy as np
 
 from .automata import AutomataTeam
 from .backend import make_backend
-from .booleanize import literals_from_features
-from .inference import InferenceMixin
-from .rng import NumpyRandom
+from .machine import MachineBase
 
 __all__ = ["CoalescedTsetlinMachine"]
 
 
-class CoalescedTsetlinMachine(InferenceMixin):
+class CoalescedTsetlinMachine(MachineBase):
     """Coalesced multi-output Tsetlin Machine.
 
     Parameters mirror :class:`repro.tsetlin.machine.TsetlinMachine`, except
@@ -35,17 +33,11 @@ class CoalescedTsetlinMachine(InferenceMixin):
     def __init__(self, n_classes, n_features, n_clauses=64, T=20, s=3.9,
                  n_states=127, boost_true_positive=True, rng=None, seed=42,
                  backend="reference"):
-        if n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
+        super().__init__(n_classes, n_clauses, T, s, boost_true_positive,
+                         rng, seed)
         if n_clauses < 1:
             raise ValueError("n_clauses must be >= 1")
-        self.n_classes = int(n_classes)
         self.n_features = int(n_features)
-        self.n_clauses = int(n_clauses)
-        self.T = int(T)
-        self.s = float(s)
-        self.boost_true_positive = bool(boost_true_positive)
-        self.rng = rng if rng is not None else NumpyRandom(seed)
         # The shared pool lives in a 1-class team: (1, K, 2f).
         self.team = AutomataTeam(
             (1, self.n_clauses, 2 * self.n_features), n_states=n_states, rng=self.rng
@@ -67,8 +59,7 @@ class CoalescedTsetlinMachine(InferenceMixin):
 
     # InferenceMixin primitives: one shared bank voted by learned weights.
     def clause_votes(self, X, empty_output=0):
-        X = self._check_features(X)
-        L = literals_from_features(X).astype(bool)
+        L = self._literals(self._check_features(X)).astype(bool)
         return self.backend.batch_outputs(L, empty_output=empty_output)
 
     def vote_weights(self):
@@ -112,47 +103,11 @@ class CoalescedTsetlinMachine(InferenceMixin):
             self.weights[cls] -= (sel & fired & w_pos).astype(np.int32)
             self.weights[cls] += (sel & fired & ~w_pos).astype(np.int32)
 
-    def fit(self, X, y, epochs=10, shuffle=True):
-        """Train the shared pool and class weights."""
-        X = self._check_features(X)
-        y = np.asarray(y, dtype=np.int64)
-        if y.min() < 0 or y.max() >= self.n_classes:
-            raise ValueError("labels out of range for n_classes")
-        L_all = literals_from_features(X)
-        self.backend.begin_fit(L_all)
-        try:
-            order = np.arange(len(X))
-            for _ in range(epochs):
-                if shuffle:
-                    order = order[np.argsort(self.rng.random((len(X),)))]
-                for idx in order:
-                    target = int(y[idx])
-                    self._update_for_class(
-                        L_all[idx], target, is_target=True, lit_index=idx
-                    )
-                    rival = self.rng.integers(0, self.n_classes - 1)
-                    if rival >= target:
-                        rival += 1
-                    self._update_for_class(
-                        L_all[idx], rival, is_target=False, lit_index=idx
-                    )
-        finally:
-            self.backend.end_fit()
-        return self
-
-    def partial_fit(self, X, y):
-        """One epoch-free, in-order pass over ``(X, y)``.
-
-        Chunked calls over a fixed overall sample order are bit-identical
-        (pool state and weights) to ``fit(X, y, epochs=1, shuffle=False)``
-        on the concatenated samples — the delegation below, pinned by
-        ``tests/test_partial_fit.py``.
-        """
-        X = self._check_features(X)
-        y = np.asarray(y, dtype=np.int64)
-        if len(X) == 0 and len(y) == 0:
-            return self
-        return self.fit(X, y, epochs=1, shuffle=False)
+    def _update_one(self, literals, target, lit_index=None):
+        """Target phase, then one rival class's phase, on the live pool."""
+        self._update_for_class(literals, target, True, lit_index)
+        self._update_for_class(literals, self._rival(target), False,
+                               lit_index)
 
     # ------------------------------------------------------------------
     def export_model(self, name="cotm"):

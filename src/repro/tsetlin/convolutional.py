@@ -26,8 +26,7 @@ import numpy as np
 
 from .automata import AutomataTeam
 from .backend import make_backend
-from .inference import InferenceMixin
-from .rng import NumpyRandom
+from .machine import MachineBase
 
 __all__ = ["ConvolutionalTsetlinMachine", "patch_features"]
 
@@ -55,7 +54,7 @@ def patch_features(X, image_shape, patch_shape, coord_bits):
     return np.concatenate([pixels, coords], axis=2)
 
 
-class ConvolutionalTsetlinMachine(InferenceMixin):
+class ConvolutionalTsetlinMachine(MachineBase):
     """Multiclass convolutional TM over 2-D boolean images.
 
     Parameters
@@ -75,20 +74,14 @@ class ConvolutionalTsetlinMachine(InferenceMixin):
                  n_clauses=20, T=15, s=3.9, n_states=127,
                  boost_true_positive=True, rng=None, seed=42,
                  backend="reference"):
-        if n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
+        super().__init__(n_classes, n_clauses, T, s, boost_true_positive,
+                         rng, seed)
         if n_clauses < 2 or n_clauses % 2:
             raise ValueError("n_clauses must be an even number >= 2")
-        self.n_classes = int(n_classes)
         self.image_h, self.image_w = map(int, image_shape)
         self.patch_h, self.patch_w = map(int, patch_shape)
         if self.patch_h > self.image_h or self.patch_w > self.image_w:
             raise ValueError("patch larger than image")
-        self.n_clauses = int(n_clauses)
-        self.T = int(T)
-        self.s = float(s)
-        self.boost_true_positive = bool(boost_true_positive)
-        self.rng = rng if rng is not None else NumpyRandom(seed)
 
         self.rows = self.image_h - self.patch_h + 1
         self.cols = self.image_w - self.patch_w + 1
@@ -130,8 +123,9 @@ class ConvolutionalTsetlinMachine(InferenceMixin):
                               (self.image_h, self.image_w),
                               (self.patch_h, self.patch_w), self._coord_bits)
 
-    def _patch_literals(self, patches):
-        """(n, P, 2f) literal matrix from patch features."""
+    def _literals(self, X):
+        """(n, P, 2f) patch literals: patch features, then negations."""
+        patches = self._patches(X)
         return np.concatenate([patches, 1 - patches], axis=2)
 
     # ------------------------------------------------------------------
@@ -139,7 +133,7 @@ class ConvolutionalTsetlinMachine(InferenceMixin):
     # ------------------------------------------------------------------
     def clause_outputs_batch(self, X, empty_output=0):
         """(n, classes, clauses): 1 iff any patch satisfies the clause."""
-        literals = self._patch_literals(self._patches(X))  # (n, P, 2f)
+        literals = self._literals(X)  # (n, P, 2f)
         inc = self.backend.includes()  # (C, K, 2f)
         not_l = (1 - literals).astype(np.uint8)
         out = np.empty((len(literals), self.n_classes, self.n_clauses), dtype=np.uint8)
@@ -199,9 +193,7 @@ class ConvolutionalTsetlinMachine(InferenceMixin):
                         always_draw=True)
         be.apply_type_ii(target, sel & ~pos, out, chosen)
 
-        rival = self.rng.integers(0, self.n_classes - 1)
-        if rival >= target:
-            rival += 1
+        rival = self._rival(target)
         out_r, chosen_r = self._clause_patch_state(literals, rival, lit_index)
         vote_r = int(np.dot(out_r.astype(np.int32), self.polarity))
         vote_r = max(-T, min(T, vote_r))
@@ -210,36 +202,3 @@ class ConvolutionalTsetlinMachine(InferenceMixin):
         be.apply_type_i(rival, sel_r & ~pos, out_r, chosen_r, self.s,
                         self.rng, boost_true_positive=self.boost_true_positive,
                         always_draw=True)
-
-    def fit(self, X, y, epochs=10, shuffle=True):
-        X = np.asarray(X, dtype=np.uint8)
-        y = np.asarray(y, dtype=np.int64)
-        if y.min() < 0 or y.max() >= self.n_classes:
-            raise ValueError("labels out of range")
-        all_literals = self._patch_literals(self._patches(X))
-        self.backend.begin_fit(all_literals)
-        try:
-            order = np.arange(len(X))
-            for _ in range(epochs):
-                if shuffle:
-                    order = order[np.argsort(self.rng.random((len(X),)))]
-                for idx in order:
-                    self._update_one(all_literals[idx], int(y[idx]),
-                                     lit_index=idx)
-        finally:
-            self.backend.end_fit()
-        return self
-
-    def partial_fit(self, X, y):
-        """One epoch-free, in-order pass over ``(X, y)``.
-
-        Chunked calls over a fixed overall sample order are bit-identical
-        to ``fit(X, y, epochs=1, shuffle=False)`` on the concatenated
-        samples — the delegation below, pinned by
-        ``tests/test_partial_fit.py``.
-        """
-        X = np.asarray(X, dtype=np.uint8)
-        y = np.asarray(y, dtype=np.int64)
-        if len(X) == 0 and len(y) == 0:
-            return self
-        return self.fit(X, y, epochs=1, shuffle=False)

@@ -30,37 +30,127 @@ from .booleanize import literals_from_features
 from .inference import InferenceMixin
 from .rng import NumpyRandom
 
-__all__ = ["TsetlinMachine", "TrainingLog"]
+__all__ = ["MachineBase", "TsetlinMachine"]
 
 
-class TrainingLog:
-    """Per-epoch training metrics recorded by :meth:`TsetlinMachine.fit`."""
+class MachineBase(InferenceMixin):
+    """Training surface shared by the flat, coalesced and convolutional
+    machines: hyperparameter checks, the epoch loop, ``partial_fit`` and
+    the rival-class draw.
 
-    def __init__(self):
-        self.epochs = []
+    A machine calls ``super().__init__`` before building its automata
+    team (which draws from ``self.rng``), sets ``self.backend``, and
+    supplies two primitives:
 
-    def record(self, epoch, train_accuracy, include_fraction, val_accuracy=None):
-        self.epochs.append(
-            {
-                "epoch": epoch,
-                "train_accuracy": train_accuracy,
-                "include_fraction": include_fraction,
-                "val_accuracy": val_accuracy,
-            }
-        )
+    ``_literals(X)``
+        The literal tensor of a validated ``(samples, n_features)``
+        batch, indexed by sample: ``(samples, 2 * features)`` flat
+        literals by default, ``(samples, patches, 2 * patch_features)``
+        for the convolutional machine.
+    ``_update_one(literals, target, lit_index)``
+        One datapoint's feedback, ``literals`` being row ``lit_index``
+        of ``_literals``; it fixes the RNG draw order of an update.
+    """
 
-    def last(self):
-        return self.epochs[-1] if self.epochs else None
+    def __init__(self, n_classes, n_clauses, T, s, boost_true_positive,
+                 rng, seed):
+        if n_classes < 2:
+            raise ValueError("n_classes must be >= 2")
+        if T < 1:
+            raise ValueError("T must be >= 1")
+        if s < 1.0:
+            raise ValueError("s must be >= 1.0")
+        self.n_classes = int(n_classes)
+        self.n_clauses = int(n_clauses)
+        self.T = int(T)
+        self.s = float(s)
+        self.boost_true_positive = bool(boost_true_positive)
+        self.rng = rng if rng is not None else NumpyRandom(seed)
 
-    def best_val(self):
-        scores = [e["val_accuracy"] for e in self.epochs if e["val_accuracy"] is not None]
-        return max(scores) if scores else None
+    def _literals(self, X):
+        return literals_from_features(X)
 
-    def __len__(self):
-        return len(self.epochs)
+    def _update_one(self, literals, target, lit_index=None):
+        raise NotImplementedError
+
+    def _rival(self, target):
+        """One class other than ``target``, drawn uniformly."""
+        rival = self.rng.integers(0, self.n_classes - 1)
+        return rival + 1 if rival >= target else rival
+
+    def fit(self, X, y, epochs=10, shuffle=True):
+        """Train for ``epochs`` passes over ``(X, y)``.
+
+        ``X`` is a ``(samples, n_features)`` 0/1 matrix and ``y`` the
+        integer class labels ``(samples,)``; ``shuffle`` redraws the
+        sample order every epoch.  Each epoch counts into
+        ``train_epochs_total{backend}`` and ``train_epoch_seconds{backend}``.
+
+        >>> import numpy as np
+        >>> from repro.tsetlin import CoalescedTsetlinMachine
+        >>> X = np.array([[1, 0], [0, 1]] * 4, dtype=np.uint8)
+        >>> y = X[:, 0]
+        >>> cotm = CoalescedTsetlinMachine(2, 2, n_clauses=8, T=4, seed=1)
+        >>> cotm.fit(X, y, epochs=10).evaluate(X, y)
+        1.0
+        >>> cotm.fit(X, y[:-1])
+        Traceback (most recent call last):
+        ...
+        ValueError: X and y must have the same length
+        """
+        X = self._check_features(X)
+        y = np.asarray(y, dtype=np.int64)
+        if len(X) != len(y):
+            raise ValueError("X and y must have the same length")
+        if y.min() < 0 or y.max() >= self.n_classes:
+            raise ValueError("labels out of range for n_classes")
+        literals = self._literals(X)
+
+        # Instruments resolved once, outside the epoch loop: the hot
+        # path only pays one histogram record per epoch.
+        backend_name = type(self.backend).__name__
+        registry = get_registry()
+        m_epoch_s = registry.histogram("train_epoch_seconds",
+                                       backend=backend_name)
+        m_epochs = registry.counter("train_epochs_total",
+                                    backend=backend_name)
+
+        self.backend.begin_fit(literals)
+        try:
+            y_list = y.tolist()  # plain ints: no per-update numpy scalar
+            order = np.arange(len(X))
+            for _ in range(epochs):
+                t_epoch = time.perf_counter()
+                if shuffle:
+                    order = order[np.argsort(self.rng.random((len(X),)))]
+                for idx in order.tolist():
+                    self._update_one(literals[idx], y_list[idx], idx)
+                m_epoch_s.record(time.perf_counter() - t_epoch)
+                m_epochs.inc()
+        finally:
+            self.backend.end_fit()
+        return self
+
+    def partial_fit(self, X, y):
+        """One epoch-free, in-order pass over ``(X, y)``.
+
+        The streaming counterpart of :meth:`fit`: one update per sample
+        in the given order.  Because the RNG stream advances only
+        through the per-sample updates, chunked ``partial_fit`` calls
+        replaying a fixed overall sample order are **bit-identical** to
+        a single ``fit(X, y, epochs=1, shuffle=False)`` over the
+        concatenated samples (pinned by ``tests/test_partial_fit.py``) —
+        which is exactly what this delegates to, so the two paths cannot
+        drift apart.
+        """
+        X = self._check_features(X)
+        y = np.asarray(y, dtype=np.int64)
+        if len(X) == 0 and len(y) == 0:
+            return self
+        return self.fit(X, y, epochs=1, shuffle=False)
 
 
-class TsetlinMachine(InferenceMixin):
+class TsetlinMachine(MachineBase):
     """Vanilla multiclass Tsetlin Machine.
 
     Parameters
@@ -93,21 +183,11 @@ class TsetlinMachine(InferenceMixin):
     def __init__(self, n_classes, n_features, n_clauses=20, T=15, s=3.9,
                  n_states=127, boost_true_positive=True, rng=None, seed=42,
                  backend="reference"):
-        if n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
+        super().__init__(n_classes, n_clauses, T, s, boost_true_positive,
+                         rng, seed)
         if n_clauses < 2 or n_clauses % 2 != 0:
             raise ValueError("n_clauses must be an even number >= 2")
-        if T < 1:
-            raise ValueError("T must be >= 1")
-        if s < 1.0:
-            raise ValueError("s must be >= 1.0")
-        self.n_classes = int(n_classes)
         self.n_features = int(n_features)
-        self.n_clauses = int(n_clauses)
-        self.T = int(T)
-        self.s = float(s)
-        self.boost_true_positive = bool(boost_true_positive)
-        self.rng = rng if rng is not None else NumpyRandom(seed)
         self.team = AutomataTeam(
             (self.n_classes, self.n_clauses, 2 * self.n_features),
             n_states=n_states,
@@ -122,7 +202,6 @@ class TsetlinMachine(InferenceMixin):
         # than the default int64 polarity, same value range (|vote| <= K).
         self._polarity32 = self.polarity.astype(np.int32)
         self.backend = make_backend(backend, self.team)
-        self.log = TrainingLog()
 
     # ------------------------------------------------------------------
     # Inference
@@ -141,8 +220,7 @@ class TsetlinMachine(InferenceMixin):
         Vectorized across the batch by the backend: a clause fails iff any
         included literal is 0 for that sample.
         """
-        X = self._check_features(X)
-        L = literals_from_features(X).astype(bool)  # (n, 2f)
+        L = self._literals(self._check_features(X)).astype(bool)  # (n, 2f)
         return self.backend.batch_outputs(L, empty_output=empty_output)
 
     # InferenceMixin primitives: per-class clause banks voted by polarity.
@@ -193,9 +271,7 @@ class TsetlinMachine(InferenceMixin):
             be.apply_type_ii(target, sel & neg, out_t, literals)
 
         # --- one rival class ----------------------------------------------
-        rival = self.rng.integers(0, self.n_classes - 1)
-        if rival >= target:
-            rival += 1
+        rival = self._rival(target)
         out_r = be.bank_outputs(rival, literals, lit_index)
         vote_r = int(np.dot(out_r, self._polarity32))
         vote_r = max(-T, min(T, vote_r))
@@ -211,90 +287,6 @@ class TsetlinMachine(InferenceMixin):
                 rival, sel_r & neg, out_r, literals, self.s, self.rng,
                 boost_true_positive=self.boost_true_positive,
             )
-
-    def fit(self, X, y, epochs=10, X_val=None, y_val=None, shuffle=True,
-            progress=None, track_metrics=True):
-        """Train for ``epochs`` passes over ``(X, y)``.
-
-        Parameters
-        ----------
-        X:
-            Boolean feature matrix ``(samples, n_features)``.
-        y:
-            Integer class labels ``(samples,)``.
-        X_val, y_val:
-            Optional held-out split evaluated each epoch.
-        shuffle:
-            Re-shuffle sample order every epoch.
-        progress:
-            Optional callable ``progress(epoch, log_entry)``.
-        track_metrics:
-            Evaluate train (and val) accuracy each epoch and record it in
-            :attr:`log`.  Disable for pure-throughput runs where the
-            per-epoch evaluation pass would dominate.
-        """
-        X = self._check_features(X)
-        y = np.asarray(y, dtype=np.int64)
-        if len(X) != len(y):
-            raise ValueError("X and y must have the same length")
-        if y.min() < 0 or y.max() >= self.n_classes:
-            raise ValueError("labels out of range for n_classes")
-        L_all = literals_from_features(X)
-
-        # Instruments resolved once, outside the epoch loop: the hot
-        # path only pays one histogram record per epoch.
-        backend_name = type(self.backend).__name__
-        registry = get_registry()
-        m_epoch_s = registry.histogram("train_epoch_seconds",
-                                       backend=backend_name)
-        m_epochs = registry.counter("train_epochs_total",
-                                    backend=backend_name)
-
-        self.backend.begin_fit(L_all)
-        try:
-            y_list = y.tolist()  # plain ints: no per-update numpy scalar
-            order = np.arange(len(X))
-            for epoch in range(epochs):
-                t_epoch = time.perf_counter()
-                if shuffle:
-                    perm = np.argsort(self.rng.random((len(X),)))
-                    order = order[perm]
-                for idx in order.tolist():
-                    self._update_one(L_all[idx], y_list[idx], lit_index=idx)
-                m_epoch_s.record(time.perf_counter() - t_epoch)
-                m_epochs.inc()
-                if not track_metrics:
-                    continue
-                train_acc = self.evaluate(X, y)
-                val_acc = None
-                if X_val is not None and y_val is not None:
-                    val_acc = self.evaluate(X_val, y_val)
-                self.log.record(
-                    epoch, train_acc, self.team.include_fraction(), val_acc
-                )
-                if progress is not None:
-                    progress(epoch, self.log.last())
-        finally:
-            self.backend.end_fit()
-        return self
-
-    def partial_fit(self, X, y):
-        """One epoch-free, in-order pass over ``(X, y)``.
-
-        The streaming counterpart of :meth:`fit`: no shuffle, no
-        per-epoch evaluation — one update per sample in the given order.
-        Because the RNG stream advances only through the per-sample
-        updates, chunked ``partial_fit`` calls replaying a fixed overall
-        sample order are **bit-identical** to a single ``fit(X, y,
-        epochs=1, shuffle=False)`` over the concatenated samples (pinned
-        by ``tests/test_partial_fit.py``) — which is exactly what this
-        delegates to, so the two paths cannot drift apart.
-        """
-        X = self._check_features(X)
-        y = np.asarray(y, dtype=np.int64)
-        if len(X) == 0 and len(y) == 0:
-            return self
-        return self.fit(X, y, epochs=1, shuffle=False, track_metrics=False)
 
     # ------------------------------------------------------------------
     # Export

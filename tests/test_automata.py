@@ -38,37 +38,6 @@ class TestActions:
         assert team.include_fraction() == pytest.approx(0.5)
 
 
-class TestTransitions:
-    def test_reinforce_clamps_high(self):
-        team = AutomataTeam((1, 1, 3), n_states=4)
-        team.state[:] = 8
-        team.reinforce(np.ones((1, 1, 3), dtype=np.int16) * 5)
-        assert (team.state == 8).all()
-
-    def test_reinforce_clamps_low(self):
-        team = AutomataTeam((1, 1, 3), n_states=4)
-        team.state[:] = 1
-        team.reinforce(-np.ones((1, 1, 3), dtype=np.int16))
-        assert (team.state == 1).all()
-
-    def test_step_up_masked(self):
-        team = AutomataTeam((1, 1, 4), n_states=5)
-        before = team.state.copy()
-        mask = np.zeros((1, 1, 4), dtype=bool)
-        mask[0, 0, 1] = True
-        team.step_up(mask)
-        assert team.state[0, 0, 1] == before[0, 0, 1] + 1
-        unchanged = np.delete(team.state.ravel(), 1)
-        assert np.array_equal(unchanged, np.delete(before.ravel(), 1))
-
-    def test_step_down_masked(self):
-        team = AutomataTeam((1, 1, 4), n_states=5)
-        team.state[:] = 7
-        mask = np.ones((1, 1, 4), dtype=bool)
-        team.step_down(mask)
-        assert (team.state == 6).all()
-
-
 class TestSerialization:
     def test_roundtrip(self):
         team = AutomataTeam((2, 2, 6), n_states=9, rng=NumpyRandom(4))

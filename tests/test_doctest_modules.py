@@ -6,8 +6,8 @@ Two contracts:
   set CI runs via ``pytest --doctest-modules src/repro/data
   src/repro/obs src/repro/serving src/repro/streaming``; that CI step
   also runs the ``src/repro/model``, ``src/repro/rtl`` and
-  ``src/repro/tsetlin/rng.py`` examples, whose public symbols are not
-  all held to the example rule below);
+  ``src/repro/tsetlin`` examples, whose public symbols are not all held
+  to the example rule below);
 * every *public* class and function in those packages carries a
   docstring with an example (``>>>``) — the docs generator renders those
   docstrings into ``docs/api/``, so an example-free public symbol is a

@@ -17,6 +17,7 @@ from repro.tsetlin import (
     CoalescedTsetlinMachine,
     ConvolutionalTsetlinMachine,
     InferenceMixin,
+    MachineBase,
     TsetlinMachine,
     argmax_lowest,
 )
@@ -40,6 +41,10 @@ def test_all_machines_share_the_mixin():
         assert cls.predict is InferenceMixin.predict
         assert cls.evaluate is InferenceMixin.evaluate
         assert cls.class_sums is InferenceMixin.class_sums
+        # One training loop — fit/partial_fit come from the shared base.
+        assert issubclass(cls, MachineBase)
+        assert cls.fit is MachineBase.fit
+        assert cls.partial_fit is MachineBase.partial_fit
 
 
 def _tie_include(n_features=4):

@@ -64,20 +64,6 @@ class TestLearning:
         tm.fit(X, y, epochs=10)
         assert tm.evaluate(X, y) > 0.85
 
-    def test_log_records_epochs(self):
-        X, y = separable_data(n=60)
-        tm = TsetlinMachine(2, 16, n_clauses=4, T=4, seed=0)
-        tm.fit(X, y, epochs=3, X_val=X[:20], y_val=y[:20])
-        assert len(tm.log) == 3
-        assert tm.log.best_val() is not None
-
-    def test_progress_callback(self):
-        X, y = separable_data(n=40)
-        tm = TsetlinMachine(2, 16, n_clauses=4, T=4, seed=0)
-        seen = []
-        tm.fit(X, y, epochs=2, progress=lambda e, entry: seen.append(e))
-        assert seen == [0, 1]
-
     def test_seed_reproducibility(self):
         X, y = separable_data(n=80)
         tm1 = TsetlinMachine(2, 16, n_clauses=6, T=6, seed=9)

@@ -54,7 +54,7 @@ class TestFlatBitIdentity:
     def test_chunked_replay_equals_fit(self, backend):
         X, y = _data()
         ref = self._machine(backend)
-        ref.fit(X, y, epochs=1, shuffle=False, track_metrics=False)
+        ref.fit(X, y, epochs=1, shuffle=False)
         inc = self._machine(backend)
         for cx, cy in _chunks(X, y, (17, 25, 3)):
             inc.partial_fit(cx, cy)
@@ -64,7 +64,7 @@ class TestFlatBitIdentity:
     def test_two_passes_equal_two_epochs(self, backend):
         X, y = _data(seed=1)
         ref = self._machine(backend)
-        ref.fit(X, y, epochs=2, shuffle=False, track_metrics=False)
+        ref.fit(X, y, epochs=2, shuffle=False)
         inc = self._machine(backend)
         inc.partial_fit(X, y)
         inc.partial_fit(X, y)
@@ -75,7 +75,7 @@ class TestFlatBitIdentity:
         # training can keep alternating fit/partial_fit indefinitely.
         X, y = _data(seed=2)
         a = self._machine(backend)
-        a.fit(X, y, epochs=1, shuffle=False, track_metrics=False)
+        a.fit(X, y, epochs=1, shuffle=False)
         b = self._machine(backend)
         b.partial_fit(X[:30], y[:30])
         b.partial_fit(X[30:], y[30:])

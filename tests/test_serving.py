@@ -495,7 +495,7 @@ def small_serving():
     X = (rng.random((64, 18)) < 0.5).astype(np.uint8)
     y = rng.integers(0, 3, 64)
     tm = TsetlinMachine(3, 18, n_clauses=6, T=4, seed=6, backend="vectorized")
-    tm.fit(X, y, epochs=2, track_metrics=False)
+    tm.fit(X, y, epochs=2)
     model = tm.export_model("diff")
     design = generate_accelerator(model, AcceleratorConfig(name="diff"))
     return model, design, X
