@@ -96,6 +96,32 @@ class TestFlatEquivalence:
         step(lambda tm: tm.partial_fit(X[35:5:-1], y[35:5:-1]))
         assert vec.backend._out_cache is not cache
 
+    def test_progress_callback_reads_live_state(self):
+        # team.state is live during a fit: a reader at each epoch
+        # boundary (the last update of the epoch) sees it with no flush,
+        # and it matches the reference machine's state.
+        X, y = _dataset()
+        seen = {}
+        for backend in ("reference", "vectorized"):
+            tm = TsetlinMachine(3, 32, n_clauses=10, T=6, s=3.5, seed=4,
+                                backend=backend)
+            states = seen[backend] = []
+            update = tm._update_one
+            calls = [0]
+
+            def spy(literals, target, lit_index=None, tm=tm, states=states,
+                    update=update, calls=calls):
+                update(literals, target, lit_index)
+                calls[0] += 1
+                if calls[0] % len(X) == 0:
+                    states.append(tm.team.state.copy())
+
+            tm._update_one = spy
+            tm.fit(X, y, epochs=3)
+        assert len(seen["vectorized"]) == 3
+        for a, b in zip(seen["reference"], seen["vectorized"]):
+            assert np.array_equal(a, b)
+
     @staticmethod
     def _trained_pair():
         X, y = _dataset()
@@ -142,6 +168,17 @@ class TestFlatEquivalence:
         assert np.array_equal(be.includes(), vec.team.state > N)
         assert all(v == 0 for vers in be._samp_ver for v in vers)
         self._assert_next_fit_identical(X, y, ref, vec)
+
+    def test_training_log_matches(self):
+        # The per-epoch training accuracy agrees across backends: one
+        # one-epoch fit at a time, scored after each.
+        X, y = _dataset()
+        logs = []
+        for b in ("reference", "vectorized"):
+            tm = TsetlinMachine(3, 32, n_clauses=8, T=5, seed=2, backend=b)
+            logs.append([tm.fit(X, y, epochs=1).evaluate(X, y)
+                         for _ in range(2)])
+        assert logs[0] == logs[1]
 
 
 class TestCoalescedEquivalence:
