@@ -8,8 +8,8 @@ Two regimes are measured on an MNIST-scale synthetic task (10 classes,
 1568 boolean features, 512 clauses/class):
 
 * **cold** — from-scratch training, where the dense random initialization
-  keeps clause selection probabilities high and every backend pays for
-  the full Type I random blocks;
+  keeps clause selection probabilities high and every backend draws a
+  Type I mask over many selected clause rows;
 * **steady** — continued training from a converged model (the regime a
   long training run or an online-learning deployment spends nearly all
   its time in), where the reference backend still rematerializes the

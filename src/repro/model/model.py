@@ -23,6 +23,7 @@ import json
 import numpy as np
 
 from ..tsetlin.booleanize import literals_from_features
+from ..tsetlin.feedback import any_violated
 from ..tsetlin.inference import check_features
 
 __all__ = ["TMModel"]
@@ -102,10 +103,7 @@ class TMModel:
     def clause_outputs(self, X):
         """Clause outputs ``(samples, classes, clauses)``; empty clauses → 0."""
         L = literals_from_features(check_features(X, self.n_features))
-        violations = np.einsum(
-            "nf,ckf->nck", (1 - L).astype(np.uint8), self.include.astype(np.uint8)
-        )
-        out = (violations == 0).astype(np.uint8)
+        out = (~any_violated(1 - L, self.include)).astype(np.uint8)
         nonempty = self.include.any(axis=2)
         out &= nonempty[np.newaxis, :, :].astype(np.uint8)
         return out

@@ -25,7 +25,9 @@ __all__ = ["CACHE_VERSION", "sweep_key", "SweepCache"]
 # (word-level feedback); training code paths changed, so every v1 record
 # predates the layout and must be re-evaluated.  The later move back to
 # in-place int16 state is bit-identical, so v2 records remain valid.
-CACHE_VERSION = 2
+# v3: Type I feedback draws one Bernoulli mask per event from raw PCG64
+# words, which changes every trained model.
+CACHE_VERSION = 3
 
 
 def canonical_json(payload):

@@ -108,7 +108,6 @@ def _snapshot(machine):
     state = {
         "team": np.array(machine.team.state, copy=True),
         "rng": gen.bit_generator.state,
-        "spare": rng._spare_uint,
         "weights": None,
     }
     weights = getattr(machine, "weights", None)
@@ -121,7 +120,6 @@ def _restore(machine, state):
     """Load a :func:`_snapshot` into a freshly built machine."""
     machine.team.state[:] = state["team"]
     machine.rng._gen.bit_generator.state = state["rng"]
-    machine.rng._spare_uint = state["spare"]
     if state.get("weights") is not None:
         machine.weights[:] = state["weights"]
     backend = getattr(machine, "backend", None)

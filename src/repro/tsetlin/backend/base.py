@@ -17,8 +17,7 @@ Two implementations ship:
 * :class:`~repro.tsetlin.backend.vectorized.VectorizedBackend` — keeps the
   include matrix (bool + bit-packed) incrementally in sync with the
   automaton states, evaluates clauses with uint64-word-packed bitwise
-  ops, touches only the clause rows selected by feedback, and skips the
-  RNG stream past draws that masked-out clauses never consume.  Produces
+  ops and touches only the clause rows selected by feedback.  Produces
   bit-identical trained state to the reference backend at a fraction of
   the cost.
 
@@ -120,13 +119,14 @@ class TMBackend:
 
     # -- feedback ------------------------------------------------------
     def apply_type_i(self, class_index, clause_mask, outputs, literals, s,
-                     rng, boost_true_positive=False, always_draw=False):
+                     rng, boost_true_positive=False):
         """Type I feedback on the masked clauses of one bank.
 
         Must consume the RNG stream exactly like
-        :func:`repro.tsetlin.feedback.type_i_feedback` (one ``(clauses,
-        2f)`` uniform block when the mask is non-empty, or always when
-        ``always_draw``), so that all backends stay bit-identical.
+        :func:`repro.tsetlin.feedback.type_i_feedback` (one
+        ``rng.bernoulli(1 / s, (selected clauses, 2f))`` mask when the
+        mask is non-empty, nothing otherwise), so that all backends stay
+        bit-identical.
         """
         raise NotImplementedError
 

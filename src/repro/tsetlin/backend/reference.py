@@ -14,7 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..feedback import clause_outputs, type_i_feedback, type_ii_feedback
+from ..feedback import (
+    any_violated,
+    clause_outputs,
+    type_i_feedback,
+    type_ii_feedback,
+)
 from .base import TMBackend, register_backend
 
 __all__ = ["ReferenceBackend"]
@@ -53,8 +58,7 @@ class ReferenceBackend(TMBackend):
     def batch_outputs(self, L, empty_output=0):
         inc = self.team.actions()  # (C, K, 2f)
         not_l = (~np.asarray(L, dtype=bool)).astype(np.uint8)
-        violations = np.einsum("nf,ckf->nck", not_l, inc.astype(np.uint8))
-        out = (violations == 0).astype(np.uint8)
+        out = (~any_violated(not_l, inc)).astype(np.uint8)
         if empty_output == 0:
             nonempty = inc.any(axis=2)  # (C, K)
             out &= nonempty[np.newaxis, :, :].astype(np.uint8)
@@ -62,19 +66,15 @@ class ReferenceBackend(TMBackend):
 
     def patch_match(self, class_index, patch_literals, lit_index=None):
         inc = self.team.actions()[class_index]  # (K, 2f)
-        v = np.einsum(
-            "pf,kf->pk",
-            (1 - np.asarray(patch_literals, dtype=np.uint8)),
-            inc.astype(np.uint8),
-        )
-        return v == 0
+        not_l = 1 - np.asarray(patch_literals, dtype=np.uint8)
+        return ~any_violated(not_l, inc[np.newaxis])[:, 0]
 
     # -- feedback ------------------------------------------------------
     def apply_type_i(self, class_index, clause_mask, outputs, literals, s,
-                     rng, boost_true_positive=False, always_draw=False):
+                     rng, boost_true_positive=False):
         type_i_feedback(
             self.team, class_index, clause_mask, outputs, literals, s, rng,
-            boost_true_positive=boost_true_positive, always_draw=always_draw,
+            boost_true_positive=boost_true_positive,
         )
 
     def apply_type_ii(self, class_index, clause_mask, outputs, literals):

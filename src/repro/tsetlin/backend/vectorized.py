@@ -3,8 +3,8 @@
 The reference trainer pays three per-sample costs that dwarf the actual
 learning signal: it rematerializes the full ``(classes, clauses, 2f)``
 include matrix from the automaton states, evaluates clauses against dense
-uint8 literal vectors, and draws a full ``(clauses, 2f)`` uniform block per
-Type I event even though only the masked clause rows consume it.
+uint8 literal vectors, and writes the whole ``(clauses, 2f)`` bank per
+Type I event even though only the masked clause rows change.
 
 This backend removes all three while staying **bit-identical** with
 :class:`~repro.tsetlin.backend.reference.ReferenceBackend`:
@@ -19,10 +19,9 @@ This backend removes all three while staying **bit-identical** with
   plus a reduction (a clause fails iff any included literal is 0, i.e.
   iff ``include & ~literals`` has any set bit), with clause rows whose
   include mask is empty skipped entirely via an active-clause index;
-* Type I feedback generates only the uniform rows of selected clauses
-  through ``TMRandom.random_rows``, which skips the stream past every
-  other row (O(log n) for PCG64's ``advance``) and leaves the generator
-  in exactly the state the reference's full-block draw would.
+* Type I feedback draws the same one ``rng.bernoulli(1 / s, (selected
+  rows, 2f))`` mask as the reference, so both leave the generator in
+  the same state.
 
 ``team.state`` is always live: callers may read it mid-fit with no extra
 step.  :meth:`sync` rebuilds the include caches from ``state > N`` after
@@ -254,33 +253,21 @@ class VectorizedBackend(TMBackend):
             log.clear()
 
     def apply_type_i(self, class_index, clause_mask, outputs, literals, s,
-                     rng, boost_true_positive=False, always_draw=False):
-        _, n_clauses, n_literals = self.team.shape
-        clause_mask = np.asarray(clause_mask, dtype=bool)
-        if not clause_mask.any():
-            if always_draw:
-                rng.skip(n_clauses * n_literals)
-            return
+                     rng, boost_true_positive=False):
         rows = np.flatnonzero(clause_mask)
-        draws = rng.random_rows(rows, n_clauses, n_literals)
+        if not rows.size:
+            return
+        sample = rng.bernoulli(1.0 / s, (len(rows), self.team.shape[2]))
 
         lit = literal_matrix(literals)
         lit = lit[np.newaxis, :] if lit.ndim == 1 else lit[rows]
-        fired = np.asarray(outputs, dtype=bool)[rows, np.newaxis]
+        base = np.asarray(outputs, dtype=bool)[rows, np.newaxis] & lit
 
-        # Mirrors the reference delta arithmetic on the selected rows
-        # only; memorize/erode are disjoint, so applying the guarded
-        # increment then the guarded decrement equals the reference's
-        # net-delta-then-clip.  The erode condition ``(fired & ~lit) |
-        # ~fired`` is ``~(fired & lit)`` by absorption, so one shared
-        # base term covers both masks.
-        base = fired & lit
-        if boost_true_positive:
-            memorize = base  # high prob = 1.0 > any draw
-        else:
-            memorize = base & (draws < (s - 1.0) / s)
-        erode = ~base
-        erode &= draws < (1.0 / s)
+        # The reference law on the selected rows only: memorize/erode
+        # are disjoint, so the guarded increment then the guarded
+        # decrement equals the reference's add-then-clip.
+        memorize = base if boost_true_positive else base & ~sample
+        erode = sample & ~base
         N = self._N
         st = self.team.state[class_index][rows]
         was_included = st > N

@@ -135,12 +135,15 @@ class ConvolutionalTsetlinMachine(MachineBase):
         """(n, classes, clauses): 1 iff any patch satisfies the clause."""
         literals = self._literals(X)  # (n, P, 2f)
         inc = self.backend.includes()  # (C, K, 2f)
-        not_l = (1 - literals).astype(np.uint8)
-        out = np.empty((len(literals), self.n_classes, self.n_clauses), dtype=np.uint8)
-        for c in range(self.n_classes):
-            # violations per patch: (n, P, K)
-            v = np.einsum("npf,kf->npk", not_l, inc[c].astype(np.uint8))
-            out[:, c, :] = (v == 0).any(axis=1)
+        banks = inc.reshape(-1, inc.shape[2]).T.astype(np.float32)
+        out = np.empty((len(literals), banks.shape[1]), dtype=np.uint8)
+        for i, lit in enumerate(literals):
+            # Violations per (patch, clause), one sample at a time to keep
+            # the temporaries small; float32 counts are exact below 2**24
+            # literals, where a uint8 count would wrap at 256.
+            v = (1 - lit).astype(np.float32) @ banks
+            out[i] = (v == 0).any(axis=0)
+        out = out.reshape(len(literals), self.n_classes, self.n_clauses)
         if empty_output == 0:
             nonempty = inc.any(axis=2)
             out &= nonempty[np.newaxis].astype(np.uint8)
@@ -174,12 +177,7 @@ class ConvolutionalTsetlinMachine(MachineBase):
         return out, chosen
 
     def _update_one(self, literals, target, lit_index=None):
-        """One CTM update; feedback runs on each clause's chosen patch.
-
-        The CTM's historical RNG convention draws the ``(clauses,
-        literals)`` Type I block even when no clause is selected, hence
-        ``always_draw=True``.
-        """
+        """One CTM update; feedback runs on each clause's chosen patch."""
         be = self.backend
         T = self.T
         pos = self.polarity > 0
@@ -189,8 +187,7 @@ class ConvolutionalTsetlinMachine(MachineBase):
         vote = max(-T, min(T, vote))
         sel = self.rng.bernoulli((T - vote) / (2.0 * T), (self.n_clauses,))
         be.apply_type_i(target, sel & pos, out, chosen, self.s, self.rng,
-                        boost_true_positive=self.boost_true_positive,
-                        always_draw=True)
+                        boost_true_positive=self.boost_true_positive)
         be.apply_type_ii(target, sel & ~pos, out, chosen)
 
         rival = self._rival(target)
@@ -200,5 +197,4 @@ class ConvolutionalTsetlinMachine(MachineBase):
         sel_r = self.rng.bernoulli((T + vote_r) / (2.0 * T), (self.n_clauses,))
         be.apply_type_ii(rival, sel_r & pos, out_r, chosen_r)
         be.apply_type_i(rival, sel_r & ~pos, out_r, chosen_r, self.s,
-                        self.rng, boost_true_positive=self.boost_true_positive,
-                        always_draw=True)
+                        self.rng, boost_true_positive=self.boost_true_positive)

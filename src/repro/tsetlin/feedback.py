@@ -13,14 +13,17 @@ datapoint's literal vector.  They are fully vectorized over
 
 The rules follow Granmo's original formulation [9]; ``boost_true_positive``
 replaces the ``(s-1)/s`` strengthening probability with 1, a common
-variation that speeds convergence on sparse data.
+variation that speeds convergence on sparse data.  Type I's random
+decisions come from one ``rng.bernoulli(1 / s, ...)`` mask over the
+selected clauses, the draw every backend makes per event.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["type_i_feedback", "type_ii_feedback", "clause_outputs"]
+__all__ = ["type_i_feedback", "type_ii_feedback", "clause_outputs",
+           "any_violated"]
 
 
 def clause_outputs(include, literals, empty_output=1):
@@ -50,6 +53,30 @@ def clause_outputs(include, literals, empty_output=1):
     return out.astype(np.uint8)
 
 
+def any_violated(not_literals, include):
+    """Dense batch test: does any included literal read 0?
+
+    ``not_literals`` is the ``(samples, 2 * features)`` 0/1 uint8
+    complement of each sample's literals and ``include`` a ``(banks,
+    clauses, 2 * features)`` include matrix.  Returns ``(samples, banks,
+    clauses)`` bool.  The uint8 violation counts run over at most 255
+    literals at a time: counted over a whole row, 256 violations would
+    wrap to 0 and read as a fired clause.
+
+    >>> import numpy as np
+    >>> include = np.zeros((1, 1, 512), dtype=bool)
+    >>> include[0, 0, :256] = True  # 256 included literals, all violated
+    >>> any_violated(np.ones((1, 512), dtype=np.uint8), include).tolist()
+    [[[True]]]
+    """
+    include = np.asarray(include, dtype=np.uint8)
+    violated = np.zeros((len(not_literals),) + include.shape[:2], dtype=bool)
+    for lo in range(0, include.shape[2], 255):
+        violated |= np.einsum("nf,ckf->nck", not_literals[:, lo:lo + 255],
+                              include[:, :, lo:lo + 255]) > 0
+    return violated
+
+
 def _literal_rows(literals):
     """Normalize literals to a broadcastable ``(clauses or 1, 2f)`` bool array.
 
@@ -62,8 +89,16 @@ def _literal_rows(literals):
 
 
 def type_i_feedback(team, class_index, clause_mask, outputs, literals, s, rng,
-                    boost_true_positive=False, always_draw=False):
+                    boost_true_positive=False):
     """Apply Type I feedback to the selected clauses of one class.
+
+    Memorize and erode act on disjoint literals: a clause that fired
+    memorizes its 1-valued literals (``base = fired & literal``) and
+    every other literal of a selected clause erodes.  One mask ``S ~
+    Bernoulli(1 / s)`` over ``(selected clauses, literals)`` drives
+    both: ``erode = ~base & S`` and ``memorize = base & ~S`` (or all of
+    ``base`` with ``boost_true_positive``).  An empty selection draws
+    nothing.
 
     Parameters
     ----------
@@ -89,36 +124,25 @@ def type_i_feedback(team, class_index, clause_mask, outputs, literals, s, rng,
     boost_true_positive:
         If True, strengthen matching literals with probability 1 instead of
         ``(s - 1) / s``.
-    always_draw:
-        If True, consume the ``(clauses, literals)`` random block even when
-        no clause is selected (the convolutional machine's historical RNG
-        draw order); if False, skip the draw on an empty mask.
     """
     states = team.state[class_index]
-    n_clauses, n_literals = states.shape
     clause_mask = np.asarray(clause_mask, dtype=bool)
-    if not clause_mask.any():
-        if always_draw:
-            rng.random((n_clauses, n_literals))
+    n_selected = int(clause_mask.sum())
+    if not n_selected:
         return
+    sample = np.zeros(states.shape, dtype=bool)
+    sample[clause_mask] = rng.bernoulli(1.0 / s,
+                                        (n_selected, states.shape[1]))
     lit = _literal_rows(literals)
-    out1 = (np.asarray(outputs, dtype=bool) & clause_mask)[:, np.newaxis]
-    out0 = (~np.asarray(outputs, dtype=bool) & clause_mask)[:, np.newaxis]
+    base = np.asarray(outputs, dtype=bool)[:, np.newaxis] & lit
 
-    low_prob = 1.0 / s
-    high_prob = 1.0 if boost_true_positive else (s - 1.0) / s
+    erode = ~base & sample  # ``sample`` is False on unselected clauses
+    memorize = base & clause_mask[:, np.newaxis]
+    if not boost_true_positive:
+        memorize &= ~sample
 
-    draws = rng.random((n_clauses, n_literals))
-
-    delta = np.zeros_like(states, dtype=np.int16)
-    # Clause fired: memorize — literals that are 1 step toward include,
-    # literals that are 0 erode toward exclude.
-    delta += (out1 & lit & (draws < high_prob)).astype(np.int16)
-    delta -= (out1 & ~lit & (draws < low_prob)).astype(np.int16)
-    # Clause did not fire: erode everything gently (forget).
-    delta -= (out0 & (draws < low_prob)).astype(np.int16)
-
-    states += delta
+    states += memorize.astype(np.int16)
+    states -= erode.astype(np.int16)
     np.clip(states, 1, 2 * team.n_states, out=states)
 
 

@@ -85,6 +85,7 @@ class MachineBase(InferenceMixin):
         integer class labels ``(samples,)``; ``shuffle`` redraws the
         sample order every epoch.  Each epoch counts into
         ``train_epochs_total{backend}`` and ``train_epoch_seconds{backend}``.
+        An empty batch is a no-op: state and RNG stream stay as they are.
 
         >>> import numpy as np
         >>> from repro.tsetlin import CoalescedTsetlinMachine
@@ -97,11 +98,20 @@ class MachineBase(InferenceMixin):
         Traceback (most recent call last):
         ...
         ValueError: X and y must have the same length
+        >>> cotm.fit(X, y + 0.5)
+        Traceback (most recent call last):
+        ...
+        ValueError: labels must be integers
         """
         X = self._check_features(X)
-        y = np.asarray(y, dtype=np.int64)
-        if len(X) != len(y):
+        labels = np.asarray(y)
+        if len(X) != len(labels):
             raise ValueError("X and y must have the same length")
+        if not len(labels):
+            return self
+        y = labels.astype(np.int64)
+        if not np.array_equal(y, labels):
+            raise ValueError("labels must be integers")
         if y.min() < 0 or y.max() >= self.n_classes:
             raise ValueError("labels out of range for n_classes")
         literals = self._literals(X)
@@ -143,10 +153,6 @@ class MachineBase(InferenceMixin):
         which is exactly what this delegates to, so the two paths cannot
         drift apart.
         """
-        X = self._check_features(X)
-        y = np.asarray(y, dtype=np.int64)
-        if len(X) == 0 and len(y) == 0:
-            return self
         return self.fit(X, y, epochs=1, shuffle=False)
 
 
@@ -256,14 +262,8 @@ class TsetlinMachine(MachineBase):
         # backends only draw for non-empty masks), so skipping both
         # feedback calls is stream-exact — and in the trained steady
         # state votes sit at ±T, making empty selections the common case.
-        # At p == 0 the selection is all-False with certainty (uniforms
-        # are never < 0), so an O(1) stream skip replaces the draw.
-        if p_t <= 0.0:
-            self.rng.skip(self.n_clauses)
-            sel = None
-        else:
-            sel = self.rng.bernoulli(p_t, (self.n_clauses,))
-        if sel is not None and sel.any():
+        sel = self.rng.bernoulli(p_t, (self.n_clauses,))
+        if sel.any():
             be.apply_type_i(
                 target, sel & pos, out_t, literals, self.s, self.rng,
                 boost_true_positive=self.boost_true_positive,
@@ -276,12 +276,8 @@ class TsetlinMachine(MachineBase):
         vote_r = int(np.dot(out_r, self._polarity32))
         vote_r = max(-T, min(T, vote_r))
         p_r = (T + vote_r) / (2.0 * T)
-        if p_r <= 0.0:
-            self.rng.skip(self.n_clauses)
-            sel_r = None
-        else:
-            sel_r = self.rng.bernoulli(p_r, (self.n_clauses,))
-        if sel_r is not None and sel_r.any():
+        sel_r = self.rng.bernoulli(p_r, (self.n_clauses,))
+        if sel_r.any():
             be.apply_type_ii(rival, sel_r & pos, out_r, literals)
             be.apply_type_i(
                 rival, sel_r & neg, out_r, literals, self.s, self.rng,

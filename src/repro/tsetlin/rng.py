@@ -15,22 +15,18 @@ All generators expose the same methods used by the trainer:
     Boolean array of the given shape, ``True`` with probability ``p``.
 ``integers(low, high)``
     One integer drawn uniformly from ``[low, high)``.
-``skip(n)``
-    Advance the stream past ``n`` draws without materializing them.
-    Generators that can jump (PCG64 via ``advance``, the cyclostationary
-    bank via its stride) do so in O(1)/O(log n); the base implementation
-    falls back to draw-and-discard.
-``random_rows(rows, n_rows, n_cols)``
-    The selected ``rows`` of a ``(n_rows, n_cols)`` uniform block,
-    generating only those rows and skipping the rest, so the stream ends
-    where ``random((n_rows, n_cols))`` would leave it.  Type I feedback
-    draws through this: the reference trainer consumes a full
-    ``(clauses, literals)`` block per event, while the vectorized
-    backend needs only the rows of selected clauses and stays
-    bit-identical with it.
+
+Type I feedback draws one ``bernoulli(1 / s, (selected clauses,
+literals))`` mask per event, and clause selection one ``bernoulli(p,
+(clauses,))`` per class phase.  :class:`NumpyRandom` builds its masks
+from raw PCG64 words (two 32-bit draws per word), so a mask costs
+``ceil(n / 2)`` words whatever ``p`` is; the hardware models compare
+uniforms, ``random(shape) < p``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,106 +58,46 @@ class TMRandom:
         span = high - low
         return low + int(self.random(()) * span)
 
-    def skip(self, n):
-        """Advance the stream as if ``n`` uniforms had been drawn."""
-        n = int(n)
-        if n > 0:
-            self.random((n,))
-
-    def random_rows(self, rows, n_rows, n_cols):
-        """Return ``random((n_rows, n_cols))[rows]``, generating only ``rows``.
-
-        ``rows`` are strictly increasing indices into ``range(n_rows)``.
-        Each run of consecutive rows costs one ``random`` call; the rows
-        before, between and after the runs are skipped, so the stream ends
-        where the full block draw would leave it.
-
-        >>> import numpy as np
-        >>> from repro.tsetlin.rng import make_rng
-        >>> full_rng, rows_rng = make_rng(seed=7), make_rng(seed=7)
-        >>> full = full_rng.random((6, 3))
-        >>> picked = rows_rng.random_rows([1, 2, 4], 6, 3)
-        >>> np.array_equal(picked, full[[1, 2, 4]])
-        True
-        >>> np.array_equal(rows_rng.random((2,)), full_rng.random((2,)))
-        True
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        out = np.empty((len(rows), n_cols))
-        pos = 0
-        for first, lo, hi in _row_runs(rows.tolist()):
-            self.skip((first - pos) * n_cols)
-            out[lo:hi] = self.random((hi - lo, n_cols))
-            pos = first + hi - lo
-        self.skip((n_rows - pos) * n_cols)
-        return out
-
-
-def _row_runs(rows):
-    """``(first_row, lo, hi)`` for each run of consecutive values in ``rows``.
-
-    ``rows[lo:hi]`` is the run; ``rows`` is a sorted list of ints.
-    """
-    runs = []
-    lo = 0
-    for i in range(1, len(rows)):
-        if rows[i] != rows[i - 1] + 1:
-            runs.append((rows[lo], lo, i))
-            lo = i
-    if rows:
-        runs.append((rows[lo], lo, len(rows)))
-    return runs
-
 
 class NumpyRandom(TMRandom):
-    """Adapter wrapping a :class:`numpy.random.Generator`.
-
-    ``skip`` jumps the PCG64 stream with ``advance`` — one 64-bit word per
-    float64 draw, so advancing by ``n`` lands exactly where ``random((n,))``
-    would.  One wrinkle: bounded ``integers()`` consumes 32-bit halves and
-    buffers the spare half in the generator state; ``advance()`` clears
-    that buffer while ``random()`` preserves it.  To keep skipped and
-    unskipped streams bit-identical, the first ``skip`` after an
-    ``integers`` call stashes the buffered half and the next ``integers``
-    call restores it (float draws never touch it).
-    """
+    """Adapter wrapping a :class:`numpy.random.Generator`."""
 
     def __init__(self, seed=None):
         self._gen = np.random.default_rng(seed)
-        self._advance = getattr(self._gen.bit_generator, "advance", None)
-        # None = buffer state unknown (must inspect); False = known empty.
-        self._spare_uint = None if self._advance is not None else False
 
     def random(self, shape):
         return self._gen.random(shape)
 
-    def bernoulli(self, p, shape):
-        return self._gen.random(shape) < p
-
     def integers(self, low, high):
-        spare = self._spare_uint
-        if spare is not None and spare is not False:
-            bg = self._gen.bit_generator
-            state = bg.state
-            state["has_uint32"] = 1
-            state["uinteger"] = spare
-            bg.state = state
-        self._spare_uint = None
         return int(self._gen.integers(low, high))
 
-    def skip(self, n):
-        n = int(n)
-        if n <= 0:
-            return
-        if self._advance is None:  # exotic bit generator without advance()
-            self._gen.random((n,))
-            return
-        if self._spare_uint is None:
-            state = self._gen.bit_generator.state
-            self._spare_uint = (
-                state["uinteger"] if state.get("has_uint32") else False
-            )
-        self._advance(n)
+    def bernoulli(self, p, shape):
+        """Boolean mask from raw PCG64 words: ``u < floor(p * 2**32)``.
+
+        The ``n`` cells of ``shape`` take the first ``n`` values of
+        ``random_raw(ceil(n / 2)).view(np.uint32)``.  The same words are
+        consumed whatever ``p`` is; ``p >= 1`` gives all True and ``p <=
+        0`` all False.  Raw draws leave ``integers()``' buffered 32-bit
+        half alone.
+
+        >>> import numpy as np
+        >>> rng, ref = NumpyRandom(7), np.random.default_rng(7)
+        >>> mask = rng.bernoulli(0.25, (3, 5))  # 15 cells: 8 words
+        >>> words = ref.bit_generator.random_raw(8)
+        >>> np.array_equal(mask, (words.view(np.uint32)[:15]
+        ...                       < 2**30).reshape(3, 5))
+        True
+        >>> float(rng.random(())) == ref.random()
+        True
+        """
+        n = math.prod(shape)
+        u = self._gen.bit_generator.random_raw((n + 1) // 2)
+        if p <= 0.0:
+            return np.zeros(shape, dtype=bool)
+        if p >= 1.0:
+            return np.ones(shape, dtype=bool)
+        u = u.view(np.uint32)[:n].reshape(shape)
+        return u < np.uint32(p * 4294967296.0)
 
 
 class XorShift128Plus(TMRandom):
@@ -244,11 +180,6 @@ class CyclostationaryRandom(TMRandom):
         if shape == ():
             return vals[0]
         return vals.reshape(shape)
-
-    def skip(self, n):
-        # Replay position advances by a fixed stride per draw, so a skip is
-        # a single modular multiply-accumulate.
-        self._pos = int((self._pos + self._stride * int(n)) % self._size)
 
 
 def make_rng(kind="numpy", seed=None):

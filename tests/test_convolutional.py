@@ -102,27 +102,20 @@ class TestLearning:
         assert ctm.evaluate(X, y) > 0.75
 
     def test_generalizes_to_unseen_positions(self):
-        """On held-out data the CTM matches or beats an equal flat TM.
+        """The CTM classifies fresh random placements of the pattern.
 
-        The flat machine can only memorize position-specific patterns;
-        the convolutional one learns the pattern once and matches it
-        anywhere, which shows up as better (or at least equal)
-        generalization on fresh random placements.
+        Trained on 300 shifted placements, it scores above 0.7 on 200
+        held-out ones, so what it learned is not tied to the training
+        positions.  It is not shown to beat an equal flat TM: at this
+        size the flat machine scores higher on most machine seeds.
         """
-        from repro.tsetlin import TsetlinMachine
-
         X_tr, y_tr = shifted_pattern_data(n=300, seed=4)
         X_te, y_te = shifted_pattern_data(n=200, seed=99)
         ctm = ConvolutionalTsetlinMachine(
             2, (8, 8), patch_shape=(4, 4), n_clauses=20, T=12, s=4.0, seed=5
         )
         ctm.fit(X_tr, y_tr, epochs=12)
-        flat = TsetlinMachine(2, 64, n_clauses=20, T=12, s=4.0, seed=5)
-        flat.fit(X_tr, y_tr, epochs=12)
-        ctm_acc = ctm.evaluate(X_te, y_te)
-        flat_acc = flat.evaluate(X_te, y_te)
-        assert ctm_acc > 0.7
-        assert ctm_acc >= flat_acc - 0.02
+        assert ctm.evaluate(X_te, y_te) > 0.7
 
     def test_label_validation(self):
         ctm = ConvolutionalTsetlinMachine(2, (4, 4), patch_shape=(2, 2),

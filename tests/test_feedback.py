@@ -48,18 +48,34 @@ class TestClauseOutputs:
 
 
 class TestTypeI:
+    # One mask S ~ Bernoulli(1/s) drives both transitions of a fired
+    # clause: erode = ~base & S and memorize = base & ~S, where base holds
+    # its 1-valued literals.  FixedRandom(0.0) gives S all True and
+    # FixedRandom(0.999) S all False.
+
     def test_fired_clause_strengthens_true_literals(self):
+        """S all False: memorize every 1-valued literal, erode nothing."""
         team = make_team([[True, False, False, False]])
         lits = np.array([1, 1, 0, 0])
         out = clause_outputs(team.actions()[0], lits, empty_output=1)
         assert out[0] == 1
         before = team.state.copy()
-        # rng value 0.0 -> every probabilistic transition taken
         type_i_feedback(team, 0, np.array([True]), out, lits, s=4.0,
-                        rng=FixedRandom(0.0))
-        # literal 0 (value 1): strengthened; literals 2,3 (value 0): eroded
+                        rng=FixedRandom(0.999))
         assert team.state[0, 0, 0] == before[0, 0, 0] + 1
         assert team.state[0, 0, 1] == before[0, 0, 1] + 1
+        assert np.array_equal(team.state[0, 0, 2:], before[0, 0, 2:])
+
+    def test_fired_clause_sample_erodes_false_literals_only(self):
+        """S all True: erode every 0-valued literal, memorize nothing."""
+        team = make_team([[True, False, False, False]])
+        lits = np.array([1, 1, 0, 0])
+        out = clause_outputs(team.actions()[0], lits, empty_output=1)
+        assert out[0] == 1
+        before = team.state.copy()
+        type_i_feedback(team, 0, np.array([True]), out, lits, s=4.0,
+                        rng=FixedRandom(0.0))
+        assert np.array_equal(team.state[0, 0, :2], before[0, 0, :2])
         assert team.state[0, 0, 2] == before[0, 0, 2] - 1
         assert team.state[0, 0, 3] == before[0, 0, 3] - 1
 

@@ -110,34 +110,44 @@ class TestFactory:
             make_rng("quantum")
 
 
-@st.composite
-def _row_blocks(draw):
-    """A block shape and a sorted row subset of it (none and all included)."""
-    n_rows = draw(st.integers(1, 12))
-    n_cols = draw(st.integers(1, 6))
-    rows = sorted(draw(st.sets(st.integers(0, n_rows - 1))))
-    return rows, n_rows, n_cols
-
-
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["numpy", "xorshift", "cyclostationary"]),
-       block=_row_blocks(), seed=st.integers(1, 2**32),
-       after_integers=st.booleans())
-def test_random_rows_equals_the_full_block_slice(kind, block, seed,
+@settings(max_examples=80, deadline=None)
+@given(shape=st.lists(st.integers(0, 7), min_size=1, max_size=2).map(tuple),
+       p=st.one_of(st.sampled_from([0.0, 1.0, -0.5, 1.5, 0.5]),
+                   st.floats(0.0, 1.0)),
+       seed=st.integers(1, 2**32), after_integers=st.booleans())
+def test_numpy_bernoulli_is_the_raw_word_formula(shape, p, seed,
                                                  after_integers):
-    """``random_rows`` returns the full block's rows and leaves the stream
-    where the full block draw would, also with PCG64's spare 32-bit half
-    buffered by a preceding ``integers()`` call."""
-    rows, n_rows, n_cols = block
-    full_rng, rows_rng = make_rng(kind, seed=seed), make_rng(kind, seed=seed)
+    """The mask is ``u < floor(p * 2**32)`` over the 32-bit halves of
+    ``ceil(n / 2)`` raw PCG64 words, and the next ``integers()`` and
+    ``random()`` draws match a generator advanced by exactly those
+    words, also with ``integers()``' spare half buffered beforehand."""
+    rng, ref = NumpyRandom(seed), np.random.default_rng(seed)
     if after_integers:
-        assert full_rng.integers(0, 7) == rows_rng.integers(0, 7)
-    full = full_rng.random((n_rows, n_cols))
-    got = rows_rng.random_rows(rows, n_rows, n_cols)
-    assert got.shape == (len(rows), n_cols)
-    assert np.array_equal(got, full[rows])
-    assert rows_rng.integers(0, 1000) == full_rng.integers(0, 1000)
-    assert np.array_equal(rows_rng.random((3,)), full_rng.random((3,)))
+        assert rng.integers(0, 7) == int(ref.integers(0, 7))
+    n = int(np.prod(shape))
+    mask = rng.bernoulli(p, shape)
+    u = ref.bit_generator.random_raw(-(-n // 2)).view(np.uint32)[:n]
+    if p >= 1:
+        expected = np.ones(n, dtype=bool)
+    elif p <= 0:
+        expected = np.zeros(n, dtype=bool)
+    else:
+        expected = u < int(p * 2**32)
+    assert mask.dtype == bool and mask.shape == shape
+    assert np.array_equal(mask.ravel(), expected)
+    assert rng.integers(0, 1000) == int(ref.integers(0, 1000))
+    assert np.array_equal(rng.random((3,)), ref.random((3,)))
+
+
+@pytest.mark.parametrize("kind", ["xorshift", "cyclostationary"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_hardware_bernoulli_compares_uniforms(kind, p):
+    """The hardware models keep ``random(shape) < p``, uniform for
+    uniform."""
+    rng, ref = make_rng(kind, seed=11), make_rng(kind, seed=11)
+    mask = rng.bernoulli(p, (5, 7))
+    assert np.array_equal(mask, ref.random((5, 7)) < p)
+    assert np.array_equal(rng.random((3,)), ref.random((3,)))
 
 
 class TestTrainingWithHardwareRngs:

@@ -4,8 +4,8 @@ machines.
 ``MachineBase`` owns the hyperparameter checks, ``fit``/``partial_fit``
 input validation, the epoch loop and its metrics for all three families.
 These tests pin that each family gets the same checks, that the shared
-loop trains every family to the same bits the per-family loops did, and
-that every family's epochs count into the training metrics.
+loop's trained state stays pinned for every family, and that every
+family's epochs count into the training metrics.
 """
 
 import hashlib
@@ -79,16 +79,44 @@ class TestSharedValidation:
             getattr(tm, method)(X, y)
         assert np.array_equal(tm.team.state, before)
 
+    @pytest.mark.parametrize("method", ["fit", "partial_fit"])
+    def test_non_integer_labels_rejected(self, family, method):
+        # Cast to int64, 0.7 and 1.9 would train as classes 0 and 1.
+        tm = FAMILIES[family](seed=1)
+        X, y = _binary()
+        y = y.astype(float)
+        y[[2, 7]] = [0.7, 1.9]
+        before = tm.team.state.copy()
+        with pytest.raises(ValueError, match="labels must be integers"):
+            getattr(tm, method)(X, y)
+        assert np.array_equal(tm.team.state, before)
+
+    def test_integral_float_labels_accepted(self, family):
+        X, y = _binary()
+        a = FAMILIES[family](seed=1).fit(X, y, epochs=1)
+        b = FAMILIES[family](seed=1).fit(X, y.astype(float), epochs=1)
+        assert np.array_equal(a.team.state, b.team.state)
+
+    @pytest.mark.parametrize("method", ["fit", "partial_fit"])
+    def test_empty_batch_is_a_no_op(self, family, method):
+        tm = FAMILIES[family](seed=1)
+        fresh = FAMILIES[family](seed=1)
+        empty = np.zeros((0, 16), dtype=np.uint8)
+        assert getattr(tm, method)(empty, []) is tm
+        assert np.array_equal(tm.team.state, fresh.team.state)
+        assert tm.rng.integers(0, 2**30) == fresh.rng.integers(0, 2**30)
+        assert np.array_equal(tm.rng.random((4,)), fresh.rng.random((4,)))
+
 
 # sha256 of the trained state after a fixed fit plus one partial_fit
-# chunk, recorded from the per-family training loops that the shared
-# loop replaced.  Backends are bit-identical, so one value serves both.
+# chunk, recorded under the one-Bernoulli-mask Type I stream.  Backends
+# are bit-identical, so one value serves both.
 COTM_STATE_SHA = (
-    "fa02db718d8423675fe7c019d16221d01e7bc4279fe1b94022373a8007324427")
+    "a371344e4790df91f7b1707950574436c95f47febc796a445b0c71e8845a9348")
 COTM_WEIGHTS_SHA = (
-    "4465d7ef5df79e41e2048649eb7de5bad8dc5c7b38556993109c4895a57805e8")
+    "c2f1abea13dc0ff559352d5953bf769870108be04d68db33c4fd054a1f52b6d5")
 CTM_STATE_SHA = (
-    "8092b843102ec5b750f4562883c48b316ffbe12494149b05235d1521f6bca6f1")
+    "8dfd52519440b131adc80292f4ef62dd1edc7012cdcf7d17eee4e4570c74b9f9")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

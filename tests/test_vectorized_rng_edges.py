@@ -1,9 +1,7 @@
-"""RNG stream-skipping edge cases of the vectorized backend.
+"""RNG stream edge cases of the vectorized backend's Type I feedback.
 
-The vectorized backend's Type I path draws the uniform rows of selected
-clauses through ``TMRandom.random_rows``, which generates only those
-rows and skips the stream past the rest, promising the exact stream
-position the reference backend's full-block draw leaves.  The
+Both backends draw one ``rng.bernoulli(1 / s, (selected rows, 2f))``
+mask per Type I event and nothing for an empty selection.  The
 equivalence suite exercises this only through whole training runs;
 these tests pin the edge cases of ``apply_type_i`` directly, pairing a
 reference and a vectorized backend on identical automata and asserting,
@@ -12,13 +10,11 @@ per scenario:
 * identical post-feedback automaton states,
 * identical RNG stream position (the next draw matches bit for bit).
 
-Covered: zero-clause selection (with and without the convolutional
-``always_draw`` convention), all clauses selected (one run covering the
-whole block), single rows at every boundary, nearby rows with short
-gaps, scattered rows (one run per row), generators whose ``skip`` is
-draw-and-discard (xorshift) or a stride jump (cyclostationary), the
-number of uniforms one event generates, and automata pinned at the
-``1`` / ``2N`` clip bounds.
+Covered: zero-clause selection, all clauses selected, single rows at
+every boundary, nearby rows with short gaps, scattered rows, the
+xorshift and cyclostationary generators (``random < p`` masks), the
+number of raw PCG64 words one event consumes, and automata pinned at
+the ``1`` / ``2N`` clip bounds.
 """
 
 import numpy as np
@@ -48,8 +44,8 @@ def _literals(seed=1):
     return (np.random.default_rng(seed).random(N_LITERALS) < 0.5)
 
 
-def _apply_both(mask, rng_kind="numpy", always_draw=False, seed=5,
-                outputs=None, s=3.9, boost=False):
+def _apply_both(mask, rng_kind="numpy", seed=5, outputs=None, s=3.9,
+                boost=False):
     """Run one Type I event on both backends; return (ref, vec, rngs)."""
     ref, vec = _paired_backends(seed=seed)
     mask = np.asarray(mask, dtype=bool)
@@ -58,9 +54,9 @@ def _apply_both(mask, rng_kind="numpy", always_draw=False, seed=5,
         outputs = vec.bank_outputs(0, lit)
     rngs = [make_rng(rng_kind, seed=99), make_rng(rng_kind, seed=99)]
     ref.apply_type_i(0, mask, outputs, lit, s, rngs[0],
-                     boost_true_positive=boost, always_draw=always_draw)
+                     boost_true_positive=boost)
     vec.apply_type_i(0, mask, outputs, lit, s, rngs[1],
-                     boost_true_positive=boost, always_draw=always_draw)
+                     boost_true_positive=boost)
     return ref, vec, rngs
 
 
@@ -75,23 +71,12 @@ def _assert_equivalent(ref, vec, rngs):
 # ----------------------------------------------------------------------
 class TestZeroClauseSelection:
     def test_empty_mask_consumes_nothing(self):
-        """No selected clause, flat-machine convention: zero RNG draws."""
+        """No selected clause: zero RNG draws, in every machine family."""
         ref, vec, rngs = _apply_both(np.zeros(N_CLAUSES, dtype=bool))
         _assert_equivalent(ref, vec, rngs)  # consumes 8 draws per stream
         # And the stream really is untouched: matches a fresh generator
         # (offset by the 8 draws the equivalence probe consumed).
         fresh = make_rng("numpy", seed=99)
-        fresh.random((8,))
-        assert np.array_equal(rngs[1].random((4,)), fresh.random((4,)))
-
-    def test_empty_mask_always_draw_consumes_full_block(self):
-        """CTM convention: the (clauses, literals) block burns even when
-        nothing is selected — the skip must cover exactly that block."""
-        ref, vec, rngs = _apply_both(np.zeros(N_CLAUSES, dtype=bool),
-                                     always_draw=True)
-        _assert_equivalent(ref, vec, rngs)  # consumes 8 draws per stream
-        fresh = make_rng("numpy", seed=99)
-        fresh.skip(N_CLAUSES * N_LITERALS)
         fresh.random((8,))
         assert np.array_equal(rngs[1].random((4,)), fresh.random((4,)))
 
@@ -120,28 +105,28 @@ class TestMaskPatterns:
     @pytest.mark.parametrize("rng_kind", ["numpy", "xorshift",
                                           "cyclostationary"])
     def test_all_clauses_selected(self, rng_kind):
-        """Full mask: one run of rows that covers the whole block."""
+        """Full mask: one mask over every row."""
         ref, vec, rngs = _apply_both(np.ones(N_CLAUSES, dtype=bool),
                                      rng_kind=rng_kind)
         _assert_equivalent(ref, vec, rngs)
 
     @pytest.mark.parametrize("row", [0, N_CLAUSES // 2, N_CLAUSES - 1])
     def test_single_row(self, row):
-        """One selected clause at each boundary: skip-before + skip-after."""
+        """One selected clause at each boundary."""
         mask = np.zeros(N_CLAUSES, dtype=bool)
         mask[row] = True
         ref, vec, rngs = _apply_both(mask)
         _assert_equivalent(ref, vec, rngs)
 
     def test_dense_span_path(self):
-        """Nearby rows: two runs separated by a one-row gap."""
+        """Nearby rows: two pairs separated by a one-row gap."""
         mask = np.zeros(N_CLAUSES, dtype=bool)
         mask[[3, 4, 6, 7]] = True  # runs 3-4 and 6-7
         ref, vec, rngs = _apply_both(mask)
         _assert_equivalent(ref, vec, rngs)
 
     def test_scattered_sparse_path(self):
-        """Far-apart rows: one run per row, a skip before each."""
+        """Far-apart rows."""
         mask = np.zeros(N_CLAUSES, dtype=bool)
         mask[[0, 5, 10, 15]] = True  # four one-row runs
         ref, vec, rngs = _apply_both(mask)
@@ -162,51 +147,31 @@ class TestMaskPatterns:
 
     @pytest.mark.parametrize("rng_kind", ["xorshift", "cyclostationary"])
     def test_sparse_rows_without_pcg_advance(self, rng_kind):
-        """Generators without PCG64's ``advance`` (xorshift draws and
-        discards, the cyclostationary bank jumps by its stride) must still
-        land on the same stream position as the reference full-block
-        draw."""
+        """The hardware models, whose masks compare uniforms, land on the
+        same stream position on both backends for a sparse selection."""
         mask = np.zeros(N_CLAUSES, dtype=bool)
         mask[[2, 13]] = True
         ref, vec, rngs = _apply_both(mask, rng_kind=rng_kind)
         _assert_equivalent(ref, vec, rngs)
 
 
-class _CountingGenerator:
-    """A ``numpy.random.Generator`` proxy counting the floats it makes."""
-
-    def __init__(self, gen):
-        self._gen = gen
-        self.generated = 0
-
-    def random(self, size=None):
-        self.generated += int(np.prod(size))
-        return self._gen.random(size)
-
-    def __getattr__(self, name):
-        return getattr(self._gen, name)
-
-
-class TestGeneratedUniforms:
-    """Type I feedback generates one uniform per literal of each selected
-    row and skips the rest of the block, however the rows are spread."""
+class TestConsumedWords:
+    """A Type I event consumes ``ceil(rows * 2f / 2)`` raw PCG64 words,
+    however the selected rows are spread: it leaves the generator where
+    ``random_raw`` of that many words leaves a fresh one."""
 
     @pytest.mark.parametrize("rows", [[0, 2, 4, 6], [3, 5, 6, 9, 12],
                                       [1, 14], [N_CLAUSES - 1]])
-    def test_scattered_rows_generate_only_their_uniforms(self, rows):
+    @pytest.mark.parametrize("s", [1.0, 3.9])
+    def test_rows_consume_only_their_words(self, rows, s):
         mask = np.zeros(N_CLAUSES, dtype=bool)
         mask[rows] = True
-        ref, vec = _paired_backends(seed=5)
-        lit = _literals(seed=6)
-        outputs = vec.bank_outputs(0, lit)
-        rng_ref = make_rng("numpy", seed=99)
-        rng_vec = make_rng("numpy", seed=99)
-        counter = _CountingGenerator(rng_vec._gen)
-        rng_vec._gen = counter
-        ref.apply_type_i(0, mask, outputs, lit, 3.9, rng_ref)
-        vec.apply_type_i(0, mask, outputs, lit, 3.9, rng_vec)
-        assert counter.generated == len(rows) * N_LITERALS
-        _assert_equivalent(ref, vec, [rng_ref, rng_vec])
+        ref, vec, rngs = _apply_both(mask, s=s)
+        fresh = np.random.default_rng(99)
+        fresh.bit_generator.random_raw(-(-len(rows) * N_LITERALS // 2))
+        for rng in rngs:
+            assert rng._gen.bit_generator.state == fresh.bit_generator.state
+        _assert_equivalent(ref, vec, rngs)
 
 
 # ----------------------------------------------------------------------
@@ -285,23 +250,27 @@ class TestStreamAccounting:
             out_ref = ref.bank_outputs(i % 2, lit)
             out_vec = vec.bank_outputs(i % 2, lit)
             assert np.array_equal(out_ref, out_vec)
-            always = i == 3  # finish with an empty always_draw event
-            ref.apply_type_i(i % 2, mask, out_ref, lit, 3.9, rng_ref,
-                             always_draw=always)
-            vec.apply_type_i(i % 2, mask, out_vec, lit, 3.9, rng_vec,
-                             always_draw=always)
+            ref.apply_type_i(i % 2, mask, out_ref, lit, 3.9, rng_ref)
+            vec.apply_type_i(i % 2, mask, out_vec, lit, 3.9, rng_vec)
             assert np.array_equal(ref.team.state, vec.team.state)
         assert np.array_equal(rng_ref.random((16,)), rng_vec.random((16,)))
 
-    def test_skip_after_integers_draw(self):
-        """PCG64 buffers a spare 32-bit half after integers(); a skip in
-        between must not desynchronize later integer draws (the NumpyRandom
-        stash/restore path)."""
-        rng_a = make_rng("numpy", seed=17)
-        rng_b = make_rng("numpy", seed=17)
-        assert rng_a.integers(0, 5) == rng_b.integers(0, 5)
-        # a: skip 7 draws; b: materialize 7 draws.
-        rng_a.skip(7)
-        rng_b.random((7,))
-        assert np.array_equal(rng_a.random((3,)), rng_b.random((3,)))
-        assert rng_a.integers(0, 1000) == rng_b.integers(0, 1000)
+    def test_type_i_after_integers_draw(self):
+        """PCG64 buffers a spare 32-bit half after ``integers()``; a Type I
+        mask drawn in between takes whole raw words and leaves that half
+        for the next ``integers()`` call, on both backends."""
+        ref, vec = _paired_backends(seed=23)
+        lit = _literals(seed=24)
+        outputs = vec.bank_outputs(0, lit)
+        mask = np.zeros(N_CLAUSES, dtype=bool)
+        mask[[2, 3, 11]] = True
+        rngs = [make_rng("numpy", seed=17), make_rng("numpy", seed=17)]
+        plain = np.random.default_rng(17)
+        first = int(plain.integers(0, 5))
+        assert [rng.integers(0, 5) for rng in rngs] == [first] * 2
+        ref.apply_type_i(0, mask, outputs, lit, 3.9, rngs[0])
+        vec.apply_type_i(0, mask, outputs, lit, 3.9, rngs[1])
+        plain.bit_generator.random_raw(3 * N_LITERALS // 2)
+        expected = int(plain.integers(0, 1000))
+        assert [rng.integers(0, 1000) for rng in rngs] == [expected] * 2
+        _assert_equivalent(ref, vec, rngs)
