@@ -55,8 +55,3 @@ class AcceleratorConfig:
             raise ValueError("bus_width must be >= 1")
         if self.bus_width > 1024:
             raise ValueError("bus_width beyond 1024 bits is not a realistic channel")
-
-    @property
-    def pipeline_stages(self):
-        """Register stages between the last packet and a valid result."""
-        return 1 + int(self.pipeline_class_sum) + int(self.pipeline_argmax)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..tsetlin.inference import check_features
+
 __all__ = ["PacketSchedule", "packetize", "depacketize"]
 
 
@@ -69,7 +71,7 @@ def packetize(X, schedule):
     Parameters
     ----------
     X:
-        ``(samples, n_features)`` array of 0/1.
+        ``(samples, n_features)`` array of 0/1; any other value raises.
     schedule:
         The :class:`PacketSchedule` for the target accelerator.
 
@@ -80,13 +82,7 @@ def packetize(X, schedule):
     """
     if schedule.bus_width > 64:
         raise ValueError("packetize supports bus widths up to 64 bits")
-    X = np.asarray(X, dtype=np.uint8)
-    if X.ndim == 1:
-        X = X[np.newaxis, :]
-    if X.shape[1] != schedule.n_features:
-        raise ValueError(
-            f"expected {schedule.n_features} features, got {X.shape[1]}"
-        )
+    X = check_features(X, schedule.n_features)
     n = X.shape[0]
     padded = np.zeros((n, schedule.n_packets * schedule.bus_width), dtype=np.uint64)
     padded[:, : schedule.n_features] = X

@@ -24,10 +24,6 @@ class FinnTopology:
     act_bits: int
     clock_mhz: float = 100.0
 
-    @property
-    def n_layers(self):
-        return len(self.layer_sizes) - 1
-
 
 @dataclass(frozen=True)
 class MatadorConfigSpec:

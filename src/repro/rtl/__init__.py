@@ -1,4 +1,8 @@
-"""RTL infrastructure: netlist IR, arithmetic, Verilog emit/parse, optimize."""
+"""RTL infrastructure: netlist IR, arithmetic, Verilog emit and parse.
+
+Logic sharing is structural hashing as :class:`Netlist` builds gates
+(``share=True``); there is no separate optimization pass.
+"""
 
 from .arith import (
     Bus,
@@ -16,7 +20,6 @@ from .arith import (
     subtract,
 )
 from .netlist import GATE_KINDS, SEQ_KINDS, Netlist, Node
-from .optimize import OptimizationReport, optimize, share_logic, strip_dead
 from .parser import VerilogSyntaxError, parse_verilog
 from .verilog import emit_verilog, port_groups
 
@@ -38,10 +41,6 @@ __all__ = [
     "SEQ_KINDS",
     "Netlist",
     "Node",
-    "OptimizationReport",
-    "optimize",
-    "share_logic",
-    "strip_dead",
     "VerilogSyntaxError",
     "parse_verilog",
     "emit_verilog",

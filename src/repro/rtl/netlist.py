@@ -234,18 +234,6 @@ class Netlist:
             nets = nxt
         return nets[0]
 
-    def g_or_tree(self, nets):
-        """Balanced OR tree (empty input -> constant 0)."""
-        nets = list(nets)
-        if not nets:
-            return self.const(0)
-        while len(nets) > 1:
-            nets = [
-                self.g_or(nets[i], nets[i + 1]) if i + 1 < len(nets) else nets[i]
-                for i in range(0, len(nets), 2)
-            ]
-        return nets[0]
-
     def dff(self, d, en=None, rst=None, init=0, name=None):
         """Clocked register (never shared/merged)."""
         self._check(d)
@@ -278,9 +266,6 @@ class Netlist:
         """Distinct block labels present in the netlist."""
         return sorted({n.block for n in self.nodes if n.block is not None})
 
-    def nodes_in_block(self, label):
-        return [i for i, n in enumerate(self.nodes) if n.block == label]
-
     def fanout_counts(self):
         """Fanout (number of reader nodes + output taps) per node."""
         fanout = [0] * len(self.nodes)
@@ -290,23 +275,6 @@ class Netlist:
         for net in self.outputs.values():
             fanout[net] += 1
         return fanout
-
-    def live_nodes(self):
-        """Node ids transitively reachable from the outputs (and all dffs).
-
-        Registers are kept as roots only if themselves reachable; the
-        traversal starts from outputs and walks fanins, crossing register
-        boundaries through their ``d``/``en``/``rst`` pins.
-        """
-        alive = set()
-        stack = list(self.outputs.values())
-        while stack:
-            nid = stack.pop()
-            if nid in alive:
-                continue
-            alive.add(nid)
-            stack.extend(self.nodes[nid].fanins)
-        return alive
 
     def topological_order(self):
         """Combinational topological order; dff outputs count as sources.

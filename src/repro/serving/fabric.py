@@ -912,16 +912,6 @@ class ReplicaPool:
                 merged += 1
         return merged
 
-    def swap_all(self, engine):
-        """Swap every healthy replica to ``engine`` (non-rolling).
-
-        Prefer :meth:`Gateway.rolling_swap`, which drains queued work per
-        replica first; this is the bare fleet-wide primitive.
-        """
-        for replica in self.healthy():
-            replica.swap(engine)
-        self.engine = engine
-
     def close(self):
         """Stop every worker (idempotent)."""
         for replica in self.replicas:

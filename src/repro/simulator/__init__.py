@@ -8,7 +8,6 @@ from .vcd import VcdTracer, vcd_from_ila
 from .testbench import (
     Testbench,
     TestbenchReport,
-    build_testbench,
     emit_verilog_testbench,
 )
 
@@ -24,7 +23,6 @@ __all__ = [
     "ILAWaveform",
     "Testbench",
     "TestbenchReport",
-    "build_testbench",
     "emit_verilog_testbench",
     "VcdTracer",
     "vcd_from_ila",

@@ -24,11 +24,6 @@ from .core import CompiledNetlist
 __all__ = ["AcceleratorSimulator", "StreamReport", "BatchReport"]
 
 
-def _rows(X):
-    X = np.asarray(X, dtype=np.uint8)
-    return X[np.newaxis, :] if X.ndim == 1 else X
-
-
 @dataclass
 class BatchReport:
     """Result of a batched (parallel lanes) run."""
@@ -89,18 +84,14 @@ class AcceleratorSimulator:
     # ------------------------------------------------------------------
     def run_batch(self, X, extra_cycles=8):
         """One datapoint per batch lane; returns a :class:`BatchReport`."""
-        X = _rows(X)
-        if self.batch is not None and len(X) != self.batch:
+        packets = packetize(X, self.design.schedule)  # (n, P)
+        if self.batch is not None and len(packets) != self.batch:
             raise ValueError(
                 f"batch mismatch: simulator has {self.batch} lanes, "
-                f"X has {len(X)} rows"
+                f"X has {len(packets)} rows"
             )
-        return self._run_lanes(X, extra_cycles)
-
-    def _run_lanes(self, X, extra_cycles=8):
-        packets = packetize(X, self.design.schedule)  # (n, P)
         sim = self.sim
-        sim.reset(batch=len(X))
+        sim.reset(batch=len(packets))
         predictions = np.full(sim.batch, -1, dtype=np.int64)
         winner_sums = np.zeros(sim.batch, dtype=np.int64)
         first_valid = None
@@ -118,20 +109,14 @@ class AcceleratorSimulator:
                 if first_valid is None:
                     first_valid = cycle
                 lanes = out["result_valid"] == 1
-                predictions[lanes] = self._read_result(lanes)
-                winner_sums[lanes] = self._read_winner_sum(lanes)
+                predictions[lanes] = sim.output_bus("result")[lanes]
+                winner_sums[lanes] = sim.output_bus("result_sum", signed=True)[lanes]
         return BatchReport(
             predictions=predictions,
             class_sums_of_winner=winner_sums,
             first_result_cycle=first_valid if first_valid is not None else -1,
             cycles_run=total_cycles,
         )
-
-    def _read_result(self, lanes):
-        return self.sim.output_bus("result")[lanes]
-
-    def _read_winner_sum(self, lanes):
-        return self.sim.output_bus("result_sum", signed=True)[lanes]
 
     # ------------------------------------------------------------------
     def run_stream(self, X, gap=0, extra_cycles=16):
@@ -146,8 +131,8 @@ class AcceleratorSimulator:
         """
         if self.batch not in (None, 1):
             raise ValueError("run_stream requires a simulator with batch=1")
-        X = _rows(X)
-        packets = packetize(X, self.design.schedule).reshape(-1)  # flat words
+        rows = packetize(X, self.design.schedule)
+        packets = rows.reshape(-1)  # flat words
         master = AxiStreamMaster(packets, gap=gap)
         monitor = AxiStreamMonitor()
         sim = self.sim
@@ -170,7 +155,7 @@ class AcceleratorSimulator:
             monitor.observe(cycle, int(data[0]), valid, ready)
             master.advance(ready)
             sim.clock()
-            if master.exhausted() and len(predictions) >= len(X):
+            if master.exhausted() and len(predictions) >= len(rows):
                 break
         diffs = np.diff(result_cycles) if len(result_cycles) > 1 else np.array([0])
         return StreamReport(
@@ -182,16 +167,3 @@ class AcceleratorSimulator:
             beats_accepted=monitor.n_beats,
             monitor=monitor,
         )
-
-    # ------------------------------------------------------------------
-    def verify_against_model(self, X):
-        """Software/RTL equivalence check (the auto-debug promise).
-
-        Runs ``len(X)`` lanes on this simulator's compiled program,
-        whatever its ``batch``.  Returns
-        ``(matches, predictions_hw, predictions_sw)``.
-        """
-        X = _rows(X)
-        report = self._run_lanes(X)
-        sw = self.design.model.predict(X)
-        return bool(np.array_equal(report.predictions, sw)), report.predictions, sw

@@ -1,11 +1,12 @@
 """Auto-generated testbench — the auto-debug flow of Fig. 6(b).
 
-``build_testbench`` assembles, for a generated design, a self-checking
-testbench that (1) streams a stimulus set through the cycle-accurate
-simulator with an ILA core attached to the AXI-stream handshake and the
-result port, (2) checks predictions against the reference software
-semantics, and (3) checks measured latency and initiation interval
-against the analytic :class:`~repro.accelerator.latency.LatencyModel`.
+:class:`Testbench` checks a generated design end to end: it streams a
+stimulus set back to back through one lane of the cycle-accurate
+simulator (:meth:`~repro.simulator.design_sim.AcceleratorSimulator.run_stream`),
+then checks the predictions against the reference software semantics and
+the measured first-result latency, initiation interval and AXI-stream
+beat count against the analytic
+:class:`~repro.accelerator.latency.LatencyModel`.
 
 ``emit_verilog_testbench`` additionally renders a standalone Verilog
 testbench file for the emitted module, so the generated RTL can also be
@@ -15,15 +16,15 @@ environment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..accelerator.packetizer import packetize
+from ..tsetlin.inference import check_features
 from .design_sim import AcceleratorSimulator
-from .ila import ILACore
 
-__all__ = ["TestbenchReport", "build_testbench", "Testbench", "emit_verilog_testbench"]
+__all__ = ["TestbenchReport", "Testbench", "emit_verilog_testbench"]
 
 
 @dataclass
@@ -42,7 +43,6 @@ class TestbenchReport:
     handshake_beats: int
     expected_beats: int
     beats_match: bool
-    ila_result_pulses: list = field(default_factory=list)
 
     @property
     def passed(self):
@@ -71,100 +71,64 @@ class Testbench:
     :class:`~repro.simulator.core.CompiledNetlist` of the design's
     netlist that :meth:`run` drives (one lane) instead of compiling its
     own.
+
+    >>> import numpy as np
+    >>> from repro.accelerator import AcceleratorConfig, generate_accelerator
+    >>> from repro.model import TMModel
+    >>> from repro.simulator import Testbench
+    >>> include = np.zeros((2, 1, 4), dtype=bool)
+    >>> include[0, 0, 0] = True; include[1, 0, 2] = True
+    >>> model = TMModel(include=include, n_features=2, weights=[[1], [1]])
+    >>> design = generate_accelerator(model, AcceleratorConfig())
+    >>> X = [[1, 0], [0, 1], [1, 1]]
+    >>> Testbench(design, X).run().summary()
+    '[PASS] 3 datapoints, mismatches=0, latency 3/3, II 1.0/1, beats 3/3'
+    >>> nl = design.netlist                      # flip the result's low bit
+    >>> nl.set_output("result[0]", nl.g_not(nl.outputs["result[0]"]))
+    >>> report = Testbench(design, X).run()
+    >>> report.passed, report.mismatches
+    (False, 3)
     """
 
-    def __init__(self, design, X, y=None, compiled=None):
-        X = np.asarray(X, dtype=np.uint8)
-        if X.ndim == 1:
-            X = X[np.newaxis, :]
+    __test__ = False  # a design testbench, not a pytest test class
+
+    def __init__(self, design, X, compiled=None):
         self.design = design
-        self.X = X
-        self.y = np.asarray(y) if y is not None else None
+        self.X = check_features(X, design.schedule.n_features)
         self.compiled = compiled
 
     def run(self):
         design = self.design
-        sim = AcceleratorSimulator(design, batch=1, compiled=self.compiled)
-        netlist = design.netlist
-        ila = ILACore(
-            sim.sim,
-            probes={
-                "result_valid": netlist.outputs["result_valid"],
-                "s_ready": netlist.outputs["s_ready"],
-                "busy": netlist.outputs["busy"],
-            },
-            depth=4096,
-        )
-        ila.arm("result_valid", 1)
-
-        # Stream with per-cycle ILA sampling.
-        packets = packetize(self.X, design.schedule).reshape(-1)
-        core = sim.sim
-        core.reset()
-        predictions = []
-        result_cycles = []
-        beats = 0
-        idx = 0
-        max_cycles = len(packets) + design.latency.latency_cycles + 16
-        for cycle in range(max_cycles):
-            if idx < len(packets):
-                core.set_bus("s_data", np.array([packets[idx]], dtype=np.uint64))
-                core.set_input("s_valid", 1)
-            else:
-                core.set_input("s_valid", 0)
-            core.set_input("rst", 0)
-            core.set_input("stall", 0)
-            core.settle()
-            ila.sample()
-            ready = int(core.output("s_ready")[0])
-            valid = 1 if idx < len(packets) else 0
-            if valid and ready:
-                beats += 1
-                idx += 1
-            if int(core.output("result_valid")[0]):
-                predictions.append(int(core.output_bus("result")[0]))
-                result_cycles.append(cycle)
-            core.clock()
-
-        predictions = np.asarray(predictions[: len(self.X)], dtype=np.int64)
+        n = len(self.X)
+        stream = AcceleratorSimulator(
+            design, batch=1, compiled=self.compiled
+        ).run_stream(self.X)
+        predictions = stream.predictions[:n]
         sw = design.model.predict(self.X)
         mismatches = int(np.count_nonzero(predictions != sw[: len(predictions)]))
         lat = design.latency
-        measured_first = result_cycles[0] if result_cycles else -1
-        measured_ii = (
-            float(np.diff(result_cycles).mean()) if len(result_cycles) > 1 else 0.0
-        )
-        expected_beats = len(self.X) * design.schedule.n_packets
+        expected_beats = n * design.schedule.n_packets
         return TestbenchReport(
-            n_datapoints=len(self.X),
-            predictions_match=(mismatches == 0 and len(predictions) == len(self.X)),
+            n_datapoints=n,
+            predictions_match=(mismatches == 0 and len(predictions) == n),
             mismatches=mismatches,
-            measured_first_latency=measured_first,
+            measured_first_latency=stream.first_result_cycle,
             expected_first_latency=lat.first_result_cycle,
-            latency_match=(measured_first == lat.first_result_cycle),
-            measured_ii=measured_ii,
+            latency_match=(stream.first_result_cycle == lat.first_result_cycle),
+            measured_ii=stream.initiation_interval,
             expected_ii=lat.initiation_interval,
             ii_match=(
-                len(self.X) < 2 or abs(measured_ii - lat.initiation_interval) < 1e-9
+                n < 2 or abs(stream.initiation_interval - lat.initiation_interval) < 1e-9
             ),
-            handshake_beats=beats,
+            handshake_beats=stream.beats_accepted,
             expected_beats=expected_beats,
-            beats_match=(beats == expected_beats),
-            ila_result_pulses=ila.pulse_cycles("result_valid"),
+            beats_match=(stream.beats_accepted == expected_beats),
         )
-
-
-def build_testbench(design, X, y=None):
-    """Construct the auto-debug :class:`Testbench` for a design."""
-    return Testbench(design, X, y)
 
 
 def emit_verilog_testbench(design, X, max_datapoints=4):
     """Render a standalone Verilog testbench for external simulators."""
-    X = np.asarray(X, dtype=np.uint8)
-    if X.ndim == 1:
-        X = X[np.newaxis, :]
-    X = X[:max_datapoints]
+    X = check_features(X, design.schedule.n_features)[:max_datapoints]
     packets = packetize(X, design.schedule)
     w = design.config.bus_width
     name = design.netlist.name

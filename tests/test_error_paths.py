@@ -6,7 +6,7 @@ import pytest
 from repro.accelerator import AcceleratorConfig, generate_accelerator
 from repro.flow.verify import netlists_equivalent
 from repro.rtl import Netlist
-from repro.simulator import AcceleratorSimulator, build_testbench
+from repro.simulator import AcceleratorSimulator, Testbench, emit_verilog_testbench
 
 
 class TestSimulatorErrors:
@@ -22,6 +22,20 @@ class TestSimulatorErrors:
         with pytest.raises(ValueError):
             sim.run_stream(np.zeros((1, tiny_model.n_features), dtype=np.uint8))
 
+    def test_non_binary_features_rejected(self, tiny_model):
+        """A 2 would shift into the next bus bit instead of raising."""
+        design = generate_accelerator(tiny_model, AcceleratorConfig(bus_width=8))
+        X = np.zeros((4, tiny_model.n_features), dtype=np.uint8)
+        X[1, 0] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            AcceleratorSimulator(design).run_batch(X)
+        with pytest.raises(ValueError, match="0 or 1"):
+            AcceleratorSimulator(design, batch=1).run_stream(X)
+        with pytest.raises(ValueError, match="0 or 1"):
+            Testbench(design, X).run()
+        with pytest.raises(ValueError, match="0 or 1"):
+            emit_verilog_testbench(design, X)
+
 
 class TestTestbenchDetectsBrokenDesigns:
     def test_flipped_result_bit_fails(self, tiny_model):
@@ -30,7 +44,7 @@ class TestTestbenchDetectsBrokenDesigns:
         nl.set_output("result[0]", nl.g_not(nl.outputs["result[0]"]))
         rng = np.random.default_rng(0)
         X = rng.integers(0, 2, size=(4, tiny_model.n_features)).astype(np.uint8)
-        report = build_testbench(design, X).run()
+        report = Testbench(design, X).run()
         assert not report.passed
         assert report.mismatches > 0
 
@@ -41,7 +55,7 @@ class TestTestbenchDetectsBrokenDesigns:
         late = nl.dff(nl.outputs["result_valid"], name="late_valid")
         nl.set_output("result_valid", late)
         X = np.zeros((2, tiny_model.n_features), dtype=np.uint8)
-        report = build_testbench(design, X).run()
+        report = Testbench(design, X).run()
         assert not report.latency_match
         assert not report.passed
 

@@ -65,14 +65,6 @@ class TestReplicaPool:
         with pytest.raises(ValueError):
             ReplicaPool(engine, n_replicas=1, mode="inline", max_batch=0)
 
-    def test_swap_all_moves_every_healthy_replica(self):
-        v1, v2 = _engine(version=1), _engine(version=2)
-        pool = ReplicaPool(v1, n_replicas=3, mode="inline")
-        pool.replicas[1].healthy = False
-        pool.swap_all(v2)
-        assert pool.versions() == [2, 1, 2]
-        assert pool.engine is v2
-
 
 # ----------------------------------------------------------------------
 # Gateway: routing, dispatch, results

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.accelerator import AcceleratorConfig, generate_accelerator
-from repro.simulator import AcceleratorSimulator, build_testbench
+from repro.simulator import AcceleratorSimulator, Testbench
 from _fixtures import random_model
 
 
@@ -83,28 +83,17 @@ class TestEquivalence:
 
 
 class TestWidthIsARunArgument:
-    def test_verify_against_model_reuses_the_compiled_program(self):
-        model = random_model(n_features=20, seed=6)
-        design = generate_accelerator(model, AcceleratorConfig(bus_width=8))
-        sim = AcceleratorSimulator(design, batch=4)
-        program = sim.sim
-        rng = np.random.default_rng(3)
-        for n in (7, 70):
-            X = rng.integers(0, 2, size=(n, 20)).astype(np.uint8)
-            ok, hw, sw = sim.verify_against_model(X)
-            assert ok and len(hw) == n
-            assert np.array_equal(hw, model.predict(X))
-            assert sim.sim is program and program.batch == n
-
     def test_unfixed_simulator_runs_any_width_then_streams(self):
         model = random_model(n_features=20, seed=5)
         design = generate_accelerator(model, AcceleratorConfig(bus_width=8))
         sim = AcceleratorSimulator(design)
+        program = sim.sim
         rng = np.random.default_rng(4)
         for n in (65, 1, 3):
             X = rng.integers(0, 2, size=(n, 20)).astype(np.uint8)
             assert np.array_equal(sim.run_batch(X).predictions,
                                   model.predict(X))
+            assert sim.sim is program and program.batch == n
         X = rng.integers(0, 2, size=(3, 20)).astype(np.uint8)
         assert np.array_equal(sim.run_stream(X).predictions, model.predict(X))
 
@@ -151,7 +140,25 @@ class TestTestbench:
         design = generate_accelerator(trained_model, AcceleratorConfig())
         rng = np.random.default_rng(0)
         X = rng.integers(0, 2, size=(5, trained_model.n_features)).astype(np.uint8)
-        report = build_testbench(design, X).run()
+        report = Testbench(design, X).run()
+        assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("bus_width", [4, 8])
+    @pytest.mark.parametrize("ps,pa", [(True, True), (True, False),
+                                       (False, True), (False, False)])
+    def test_testbench_reports_the_stream_figures(self, bus_width, ps, pa):
+        model = random_model(n_features=20, seed=11)
+        config = AcceleratorConfig(bus_width=bus_width, pipeline_class_sum=ps,
+                                   pipeline_argmax=pa)
+        design = generate_accelerator(model, config)
+        X = np.random.default_rng(5).integers(0, 2, size=(5, 20)).astype(np.uint8)
+        report = Testbench(design, X).run()
+        stream = AcceleratorSimulator(design, batch=1).run_stream(X)
+        assert report.measured_first_latency == stream.first_result_cycle
+        assert report.measured_ii == stream.initiation_interval
+        assert report.handshake_beats == stream.beats_accepted
+        assert report.mismatches == np.count_nonzero(
+            stream.predictions != model.predict(X))
         assert report.passed, report.summary()
 
     def test_verilog_testbench_text(self, tiny_model):

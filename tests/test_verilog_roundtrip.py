@@ -31,7 +31,8 @@ def small_design(share=True):
         nl.set_output(f"d[{i}]", bit)
     for i, bit in enumerate(pc):
         nl.set_output(f"p[{i}]", bit)
-    nl.set_output("any", nl.g_or_tree(list(a)))
+    low, high = nl.g_or(a[0], a[1]), nl.g_or(a[2], a[3])
+    nl.set_output("any", nl.g_or(low, high))
     return nl
 
 
