@@ -240,9 +240,12 @@ class TestCommittedBaselines:
                     # winner_score_ratio is scheduler-vs-grid accuracy;
                     # 1.0 exactly means the grid winner was found.
                     assert value == 1.0, (filename, metric, value)
+                elif metric == "lane_scaling_ratio":
+                    # 1-lane over 64-lane time; its in-run floor is 0.67.
+                    assert value >= 0.67, (filename, metric, value)
                 elif filename == "sim_throughput.json":
-                    # Time ratios whose in-run floors are 0.1 and 0.67.
-                    assert value >= 0.1, (filename, metric, value)
+                    # Probe kernel over simulator time: no in-run floor.
+                    assert value > 0.0, (filename, metric, value)
                 else:
                     assert value > 1.0, (filename, metric, value)
 

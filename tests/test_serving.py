@@ -26,6 +26,7 @@ from repro.tsetlin import (
     ConvolutionalTsetlinMachine,
     TsetlinMachine,
 )
+from repro.tsetlin.backend import packed
 from repro.tsetlin.backend.packed import (
     pack_not_literal_words,
     pack_words,
@@ -150,6 +151,41 @@ class TestInferenceEngine:
                                   pack_words(include))
         assert packed_clause_outputs(pack_not_literal_words(L),
                                      pack_words(include)).all()
+
+    @pytest.mark.parametrize("rows_per_chunk", [3, 0, None])
+    def test_packed_kernel_chunk_boundaries(self, monkeypatch,
+                                            rows_per_chunk):
+        """Chunked evaluation equals the dense model at every split.
+
+        ``rows_per_chunk`` 3 splits a batch of 10 into 3 + 3 + 3 + 1, 0
+        sets the cap below one row (one row per chunk), and None keeps
+        the default cap, where the whole batch fits in one chunk.
+        """
+        rng = np.random.default_rng(7)
+        include = rng.random((3, 5, 2 * 40)) < 0.03
+        include[1, 2] = False                      # an empty clause
+        model = TMModel(include=include, n_features=40)
+        inc_words = pack_words(include)            # (3, 5, 2) uint64
+        if rows_per_chunk is not None:
+            row_bytes = inc_words.size * 8
+            monkeypatch.setattr(packed, "BATCH_CHUNK_BYTES",
+                                max(1, rows_per_chunk * row_bytes))
+        nonempty = include.any(axis=2)
+        for n in (0, 10):
+            X = (rng.random((n, 40)) < 0.5).astype(np.uint8)
+            expected = model.clause_outputs(X)     # empty clauses -> 0
+            nlw = pack_not_literal_words(np.concatenate([X, 1 - X], axis=1))
+            got = packed_clause_outputs(nlw, inc_words, nonempty)
+            assert got.shape == (n, 3, 5) and got.dtype == np.uint8
+            assert np.array_equal(got, expected)
+            flat = packed_clause_outputs(nlw, inc_words.reshape(15, -1),
+                                         nonempty.reshape(-1))
+            assert np.array_equal(flat, expected.reshape(n, 15))
+            # Without the mask, empty clauses output 1.
+            expected[:, ~nonempty] = 1
+            assert np.array_equal(packed_clause_outputs(nlw, inc_words),
+                                  expected)
+        assert 0 < expected.sum() < expected.size
 
     def test_non_binary_features_rejected_everywhere(self):
         include = np.zeros((2, 1, 4), dtype=bool)
