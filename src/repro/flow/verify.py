@@ -74,6 +74,16 @@ def netlists_equivalent(a, b, n_cycles=64, seed=0, batch=16):
     netlists must expose the same input and output sets.  Either side may
     be a :class:`CompiledNetlist`, which is reset and run instead of
     compiling the netlist again.
+
+    >>> from repro.rtl import Netlist, emit_verilog, parse_verilog
+    >>> nl = Netlist("demo")
+    >>> a, b = nl.add_input("a"), nl.add_input("b")
+    >>> nl.set_output("y", nl.g_and(a, b))
+    >>> src = emit_verilog(nl)
+    >>> netlists_equivalent(nl, parse_verilog(src))
+    True
+    >>> netlists_equivalent(nl, parse_verilog(src.replace(" & ", " | ")))
+    False
     """
     sim_a = _compiled(a, batch)
     sim_b = _compiled(b, batch)

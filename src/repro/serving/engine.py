@@ -35,6 +35,7 @@ import numpy as np
 from ..model.sparsity import ActiveClauseIndex
 from ..tsetlin.booleanize import literals_from_features
 from ..tsetlin.backend.packed import (
+    BATCH_CHUNK_BYTES,
     pack_not_literal_words,
     pack_words,
     packed_clause_outputs,
@@ -102,13 +103,14 @@ class InferenceEngine:
         self.version = int(version)
         # Clause-sparsity skipping: the hot loop evaluates only the
         # non-empty clauses (empty ones can never fire under the pruning
-        # convention) and votes them with one (n, A) @ (A, C) matmul.
+        # convention) and votes them with a float64 (n, A) @ (A, C)
+        # matmul (``_vote``).
         # The dense snapshot above remains the interchange artifact for
         # promotion/serialization; the index densifies back exactly.
         self.active_index = ActiveClauseIndex.from_include(include, weights)
         self._inc_words_active = pack_words(self.active_index.include_active)
         self._weights_active_t = np.ascontiguousarray(
-            self.active_index.weights_active.T
+            self.active_index.weights_active.T, dtype=np.float64
         )
 
     # ------------------------------------------------------------------
@@ -126,7 +128,22 @@ class InferenceEngine:
         X = check_features(X, self.n_features)
         nlw = pack_not_literal_words(literals_from_features(X))
         out = packed_clause_outputs(nlw, self._inc_words_active)  # (n, A)
-        return out.astype(np.int32) @ self._weights_active_t
+        return self._vote(out)
+
+    def _vote(self, fired):
+        """Class sums ``(n, C)`` int32 of active clause outputs ``(n, A)``.
+
+        The matmul runs in float64, which has a BLAS path (numpy's integer
+        matmul has none) and is exact for any int32 weights.  Rows are
+        cast in blocks of at most ``BATCH_CHUNK_BYTES``, so a large batch
+        makes no whole float64 copy.
+        """
+        weights = self._weights_active_t
+        sums = np.empty((len(fired), weights.shape[1]), dtype=np.int32)
+        rows = max(1, BATCH_CHUNK_BYTES // max(8 * weights.shape[0], 1))
+        for a in range(0, len(fired), rows):
+            sums[a:a + rows] = fired[a:a + rows].astype(np.float64) @ weights
+        return sums
 
     def predict(self, X):
         """Predicted class per sample (ties toward the lower index)."""
@@ -198,7 +215,7 @@ class ConvolutionalInferenceEngine(InferenceEngine):
         per_patch = packed_clause_outputs(nlw, self._inc_words_active)
         A = per_patch.shape[-1]
         fired = per_patch.reshape(n, P, A).any(axis=1)
-        return fired.astype(np.int32) @ self._weights_active_t
+        return self._vote(fired)
 
     @classmethod
     def from_machine(cls, machine, name="ctm", version=0):

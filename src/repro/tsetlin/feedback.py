@@ -53,15 +53,20 @@ def clause_outputs(include, literals, empty_output=1):
     return out.astype(np.uint8)
 
 
+# Cap on each float32 operand block that ``any_violated`` multiplies.
+DENSE_BLOCK_BYTES = 1 << 18
+
+
 def any_violated(not_literals, include):
     """Dense batch test: does any included literal read 0?
 
     ``not_literals`` is the ``(samples, 2 * features)`` 0/1 uint8
     complement of each sample's literals and ``include`` a ``(banks,
     clauses, 2 * features)`` include matrix.  Returns ``(samples, banks,
-    clauses)`` bool.  The uint8 violation counts run over at most 255
-    literals at a time: counted over a whole row, 256 violations would
-    wrap to 0 and read as a fired clause.
+    clauses)`` bool.  The violated-literal counts are float32 matmuls,
+    exact because a count is at most ``2 * features`` < 2^24.  Both
+    operands are cast to float32 in blocks of whole rows, each at most
+    ``DENSE_BLOCK_BYTES`` (or one row), so neither is copied whole.
 
     >>> import numpy as np
     >>> include = np.zeros((1, 1, 512), dtype=bool)
@@ -69,12 +74,17 @@ def any_violated(not_literals, include):
     >>> any_violated(np.ones((1, 512), dtype=np.uint8), include).tolist()
     [[[True]]]
     """
-    include = np.asarray(include, dtype=np.uint8)
-    violated = np.zeros((len(not_literals),) + include.shape[:2], dtype=bool)
-    for lo in range(0, include.shape[2], 255):
-        violated |= np.einsum("nf,ckf->nck", not_literals[:, lo:lo + 255],
-                              include[:, :, lo:lo + 255]) > 0
-    return violated
+    banks, clauses, width = np.shape(include)
+    include = np.asarray(include).reshape(banks * clauses, width)
+    n = len(not_literals)
+    violated = np.empty((n, banks * clauses), dtype=bool)
+    rows = max(1, DENSE_BLOCK_BYTES // max(4 * width, 1))
+    for c in range(0, banks * clauses, rows):
+        inc_t = include[c:c + rows].T.astype(np.float32)
+        for a in range(0, n, rows):
+            counts = not_literals[a:a + rows].astype(np.float32) @ inc_t
+            np.greater(counts, 0, out=violated[a:a + rows, c:c + rows])
+    return violated.reshape(n, banks, clauses)
 
 
 def _literal_rows(literals):

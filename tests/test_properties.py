@@ -23,7 +23,7 @@ from repro.rtl.parser import _tokenize
 from repro.simulator.core import CompiledNetlist
 from repro.synthesis import map_greedy
 from _fixtures import random_model
-from _fixtures import scan_lexemes
+from _fixtures import assert_parsers_agree, respace, scan_lexemes
 
 
 @st.composite
@@ -159,3 +159,35 @@ class TestStallCorrectness:
 def test_two_pass_tokens_equal_the_scanner_property(nl):
     src = emit_verilog(nl)
     assert _tokenize(src) == scan_lexemes(src)
+
+
+_EDIT_TOKENS = ("wire", "reg", "assign", "always", "if", "else", "begin", "end",
+                "endmodule", "1'b0", "1'b1", "&", "|", "^", "~", "?", ":", ";",
+                "=", "<=", "(", ")", "[", "]", "@", "posedge", "clk", "i0", "0")
+
+
+@settings(max_examples=40, deadline=None)
+@given(nl=netlists(), rnd=st.randoms(use_true_random=False))
+def test_statement_parser_reads_any_spacing_property(nl, rnd):
+    """Whitespace, comments and attributes between any two tokens: the
+    statement-level parser builds the netlist the cursor parser builds."""
+    assert assert_parsers_agree(respace(emit_verilog(nl), rnd)) == "accepted"
+
+
+@settings(max_examples=60, deadline=None)
+@given(nl=netlists(max_ops=10), rnd=st.randoms(use_true_random=False))
+def test_statement_parser_rejects_what_the_cursor_parser_rejects(nl, rnd):
+    """One token deleted, repeated, replaced or swapped with its
+    neighbour: both parsers accept or reject the edited source alike."""
+    tokens = _tokenize(emit_verilog(nl))
+    i = rnd.randrange(len(tokens) - 1)
+    edit = rnd.choice(("delete", "repeat", "replace", "swap"))
+    if edit == "delete":
+        del tokens[i]
+    elif edit == "repeat":
+        tokens.insert(i, tokens[i])
+    elif edit == "replace":
+        tokens[i] = rnd.choice(_EDIT_TOKENS)
+    else:
+        tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+    assert_parsers_agree(" ".join(tokens))

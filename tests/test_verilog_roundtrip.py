@@ -1,5 +1,7 @@
 """Tests for the Verilog emitter and parser (round-trip verification)."""
 
+import random
+
 import pytest
 
 from repro.flow.verify import netlists_equivalent
@@ -15,7 +17,7 @@ from repro.rtl import (
 )
 from repro.rtl.parser import VerilogSyntaxError
 from repro.rtl.parser import _tokenize
-from _fixtures import scan_lexemes
+from _fixtures import assert_parsers_agree, random_model, respace, scan_lexemes
 
 
 def small_design(share=True):
@@ -123,6 +125,17 @@ class TestRoundTrip:
         nl.set_output("o", nl.dff(a))
         re = parse_verilog(emit_verilog(nl))
         assert netlists_equivalent(nl, re, n_cycles=16, seed=5)
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        """Lowering walks wires from a stack, not by recursion."""
+        nl = Netlist("chain")
+        a, b = nl.add_input("a"), nl.add_input("b")
+        net = a
+        for i in range(3000):
+            net = nl.g_xor(net, b if i % 2 else a)
+        nl.set_output("y", net)
+        re = parse_verilog(emit_verilog(nl))
+        assert netlists_equivalent(nl, re, n_cycles=8, seed=6)
 
 
 class TestParserErrors:
@@ -272,3 +285,97 @@ class TestTokenizer:
         with pytest.raises(VerilogSyntaxError) as got:
             _tokenize(bad)
         assert str(got.value) == str(want.value)
+
+
+def _accelerator_sources():
+    from repro.accelerator import AcceleratorConfig, generate_accelerator
+
+    model = random_model(n_classes=3, n_clauses=6, n_features=12, seed=5)
+    for share in (True, False):
+        design = generate_accelerator(
+            model, AcceleratorConfig(bus_width=8, share_logic=share))
+        yield emit_verilog(design.netlist)
+
+
+_NEAR_MISSES = {
+    "non-constant reset arm then else": (
+        "  reg r = 1'b0;\n  always @(posedge clk) begin\n"
+        "    if (rst) begin\n      r <= a;\n    end else begin\n"
+        "      r <= b;\n    end\n  end\n  assign y = r;\n"),
+    "register names differ across arms": (
+        "  reg r = 1'b0;\n  reg q = 1'b0;\n  always @(posedge clk) begin\n"
+        "    if (rst) begin\n      r <= 1'b0;\n    end else begin\n"
+        "      q <= a;\n    end\n  end\n  assign y = r;\n"),
+    "enable arm names another register": (
+        "  reg r = 1'b0;\n  reg q = 1'b0;\n  always @(posedge clk) begin\n"
+        "    if (rst) begin\n      r <= 1'b0;\n    end else begin\n"
+        "      if (b) begin\n        q <= a;\n      end\n    end\n  end\n"
+        "  assign y = r;\n"),
+    "missing end": (
+        "  reg r = 1'b0;\n  always @(posedge clk) begin\n    r <= a;\n"
+        "  assign y = r;\n"),
+    "assign with two operators": "  assign y = a & b | rst;\n",
+    "combinational cycle": (
+        "  wire w;\n  wire v;\n  assign w = a & v;\n  assign v = ~w;\n"
+        "  assign y = w;\n"),
+    "negation of a binary operation": "  assign y = ~a & b;\n",
+    "keyword glued to its name": "  wire w;\n  assignw = a;\n  assign y = a;\n",
+    "register named if": (
+        "  reg if = 1'b0;\n  always @(posedge clk) begin\n    if <= a;\n"
+        "  end\n  assign y = a;\n"),
+    "reset value from a signal": (
+        "  reg r = a;\n  always @(posedge clk) begin\n    r <= a;\n  end\n"
+        "  assign y = r;\n"),
+    "nonblocking assign outside always": "  assign y <= a;\n",
+    "tokens after endmodule": "  assign y = a;\nendmodule wire ; (* c *)\n",
+    "garbage after endmodule": "  assign y = a;\nendmodule %\n",
+}
+_NEAR_MISS_PORTS = ("input  wire clk,\n    input  wire rst,\n    input  wire a,\n"
+                    "    input  wire b,\n    output wire y")
+
+
+class TestStatementParserMatchesTheCursorParser:
+    """The statement-level parser against the token-cursor parser it
+    replaced (kept in ``_fixtures`` as the reference)."""
+
+    @pytest.mark.parametrize("src", [
+        *(emit_verilog(nl) for nl in _emitted_netlists()),
+        *_accelerator_sources(),
+    ])
+    def test_emitted_sources_as_written_and_respaced(self, src):
+        """Every emitted shape and a generated accelerator (shared and
+        DON'T TOUCH), then with whitespace, comments and attributes
+        between any two tokens."""
+        assert assert_parsers_agree(src) == "accepted"
+        rnd = random.Random(0)
+        for _ in range(3):
+            assert assert_parsers_agree(respace(src, rnd)) == "accepted"
+
+    @pytest.mark.parametrize("body", list(_NEAR_MISSES.values()),
+                             ids=list(_NEAR_MISSES))
+    def test_near_misses(self, body):
+        src = _module(body, ports=_NEAR_MISS_PORTS)
+        if "endmodule" in body:
+            src = src[: src.rindex("endmodule")]
+        assert_parsers_agree(src)
+
+    def test_combinational_cycle_names_a_wire_on_it(self):
+        src = _module(_NEAR_MISSES["combinational cycle"], ports=_NEAR_MISS_PORTS)
+        with pytest.raises(VerilogSyntaxError,
+                           match="combinational cycle through 'w'"):
+            parse_verilog(src)
+
+    def test_truncated_bodies(self):
+        src = emit_verilog(small_design())
+        for cut in range(len(src) - 12, 0, -7):
+            assert assert_parsers_agree(src[:cut]) == "rejected"
+
+    @pytest.mark.parametrize("bad", [
+        "module m (input wire a); %%% endmodule",
+        "module m (* a *) # (* b *)",
+        "(* never closed",
+        "  \n\t`",
+        "a 1'b2",
+    ])
+    def test_sources_that_do_not_scan(self, bad):
+        assert assert_parsers_agree(bad) == "rejected"
